@@ -95,8 +95,9 @@ namespace detail {
 /// reuse one allocation; the t-round engine calls this for plain (1-round)
 /// schemes, which is what makes run_verifier_t(_, _, _, 1) bit-for-bit equal
 /// to run_verifier.  Safe to call concurrently for different nodes as long
-/// as each caller owns its `scratch` — the parallel VerificationSession
-/// (radius/session.hpp) relies on this, so don't add shared mutable state.
+/// as each caller owns its `scratch` — the parallel sweep of
+/// radius::BatchVerifier (radius/batch.hpp) relies on this, so don't add
+/// shared mutable state.
 bool verify_one_round_at(const Scheme& scheme, const local::Configuration& cfg,
                          const Labeling& labeling, graph::NodeIndex v,
                          std::vector<local::NeighborView>& scratch);

@@ -5,7 +5,7 @@
 // pre-atlas engine rebuilt it on every run.  Exactly the workloads the
 // tradeoff experiments care about re-verify thousands of labelings against
 // ONE topology (the adversary's hill-climb, the large-t sweeps), so geometry
-// is the textbook shared artifact: build once, serve every session, thread
+// is the textbook shared artifact: build once, serve every verifier, thread
 // slot, and t value.
 //
 // GeometryAtlas is a memory-budgeted, LRU-evicting cache of GeometryStore

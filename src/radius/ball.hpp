@@ -24,7 +24,7 @@
 //   members are a prefix of the t-ball's, full rows stay full, and the
 //   boundary layer's rows are cut at the partition point.  GeometryStore is
 //   what the memory-budgeted GeometryAtlas (radius/atlas.hpp) caches and
-//   shares across sessions, thread-pool slots, and t values.
+//   shares across verifiers, thread-pool slots, and t values.
 //
 //   Stage 3 — BINDING.  BallView is the per-(labeling, center) object the
 //   decoders read: BallView::bind points an immutable GeometryView at one

@@ -15,7 +15,6 @@ BatchVerifier::BatchVerifier(const core::Scheme& scheme,
       t_(t),
       threads_(options.threads == 0 ? util::ThreadPool::hardware_threads()
                                     : options.threads),
-      sweep_mode_(options.sweep),
       atlas_(options.atlas != nullptr
                  ? std::move(options.atlas)
                  : std::make_shared<GeometryAtlas>()) {
@@ -44,7 +43,6 @@ BatchVerifier::BatchVerifier(const core::Scheme& scheme,
 }
 
 void BatchVerifier::record_sweep_stats() {
-  if (sweep_mode_ != BatchOptions::SweepMode::kStealing) return;
   if (metrics_.sweep_chunks == nullptr) return;  // no registry supplied
   const util::RangeStats& stats = pool_->last_range_stats();
   metrics_.sweep_chunks->add(stats.chunks);
@@ -60,16 +58,18 @@ void BatchVerifier::parse_link(const core::Labeling& labeling,
   out.storage.clear();
   out.storage.resize(n);
   out.view.assign(n, nullptr);
-  const auto parse_slice = [&](unsigned, std::size_t begin, std::size_t end) {
+  const auto parse_chunk = [&](unsigned, std::size_t begin, std::size_t end) {
     for (std::size_t v = begin; v < end; ++v) {
       out.storage[v] = ball_scheme_->parse_cert(labeling.certs[v]);
       out.view[v] = out.storage[v].get();
     }
   };
-  if (parallel) {
-    pool_->for_range(n, parse_slice);
+  // One slot keeps the plain loop: a 1-slot range job would only add
+  // per-chunk trace spans, failpoint draws and clock reads.
+  if (parallel && threads_ > 1) {
+    pool_->for_range_stealing(n, parse_chunk);
   } else {
-    parse_slice(0, 0, n);
+    parse_chunk(0, 0, n);
   }
   // Link phase: intern payloads repeated across the per-node parses into
   // small dense ids; single-threaded, the sweep workers only read the
@@ -90,7 +90,7 @@ util::ThreadPool::RangeFn BatchVerifier::sweep_fn(
   // Empty `centers` = the identity map over [0, n) (the full sweep); a
   // non-empty SORTED list re-sweeps exactly those centers (the delta
   // path).  Sortedness is what keeps the block walk below incremental: a
-  // contiguous slice re-requests a block only at block boundaries.
+  // contiguous chunk re-requests a block only at block boundaries.
   const auto center_of = [centers](std::size_t i) {
     return centers.empty() ? static_cast<graph::NodeIndex>(i) : centers[i];
   };
@@ -121,7 +121,7 @@ util::ThreadPool::RangeFn BatchVerifier::sweep_fn(
     PLS_TRACE_SPAN("sweep.slot", worker);
     const graph::Graph& g = cfg_.graph();
     Slot& slot = slots_[worker];
-    // The shared_ptr pins the current block across the slice even if the
+    // The shared_ptr pins the current block across the chunk even if the
     // atlas evicts it meanwhile.
     std::shared_ptr<const GeometryBlock> block;
     for (std::size_t i = begin; i < end; ++i) {
@@ -141,16 +141,11 @@ void BatchVerifier::post_sweep(const core::Labeling& labeling,
                                std::vector<std::uint8_t>& accept) {
   const std::size_t n = cfg_.n();
   accept.assign(n, 0);
-  if (sweep_mode_ == BatchOptions::SweepMode::kStealing) {
-    // The token rides into the claim loop: an expired request abandons its
-    // sweep at the next chunk boundary instead of finishing a labeling
-    // nobody is waiting for.  (kStatic has no claim boundaries — there the
-    // per-labeling checks in run()/run_delta() are the only ones.)
-    pool_->post_range_stealing(n, sweep_fn(labeling, parsed, {}, accept),
-                               util::RangeOptions{.cancel = cancel_});
-  } else {
-    pool_->post_range(n, sweep_fn(labeling, parsed, {}, accept));
-  }
+  // The token rides into the claim loop: an expired request abandons its
+  // sweep at the next chunk boundary instead of finishing a labeling nobody
+  // is waiting for.
+  pool_->post_range_stealing(n, sweep_fn(labeling, parsed, {}, accept),
+                             util::RangeOptions{.cancel = cancel_});
 }
 
 void BatchVerifier::sweep_dirty(const core::Labeling& labeling,
@@ -159,14 +154,10 @@ void BatchVerifier::sweep_dirty(const core::Labeling& labeling,
                                 std::vector<std::uint8_t>& accept) {
   PLS_ASSERT(accept.size() == cfg_.n());
   if (dirty.empty()) return;
-  if (sweep_mode_ == BatchOptions::SweepMode::kStealing) {
-    pool_->for_range_stealing(dirty.size(),
-                              sweep_fn(labeling, parsed, dirty, accept),
-                              util::RangeOptions{.cancel = cancel_});
-    record_sweep_stats();
-  } else {
-    pool_->for_range(dirty.size(), sweep_fn(labeling, parsed, dirty, accept));
-  }
+  pool_->for_range_stealing(dirty.size(),
+                            sweep_fn(labeling, parsed, dirty, accept),
+                            util::RangeOptions{.cancel = cancel_});
+  record_sweep_stats();
 }
 
 std::vector<core::Verdict> BatchVerifier::run(

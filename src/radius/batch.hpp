@@ -5,27 +5,27 @@
 //
 //   1. GEOMETRY  — labeling-independent ball CSRs, owned by GeometryAtlas
 //                  (atlas.hpp): built once per (graph, t, center), shared
-//                  across sessions, thread slots, and t values.
+//                  across verifiers, thread slots, and t values.
 //   2. PARSE/LINK — labeling-dependent, center-independent: each node's
 //                  certificate parsed exactly once per labeling
 //                  (BallScheme::parse_cert), then the single-threaded link
 //                  phase interns repeated payloads (link_parses).
 //   3. SWEEP     — per-center verify_ball over geometry bound to the
-//                  labeling, fanned out over util::ThreadPool — by default
-//                  the work-stealing chunked split (skewed ball sizes
-//                  rebalance across slots), optionally the static
-//                  contiguous partition (BatchOptions::sweep).
+//                  labeling, fanned out over util::ThreadPool's
+//                  work-stealing chunked split (skewed ball sizes
+//                  rebalance across slots).
 //
 // BatchVerifier pins one (scheme, configuration, t) and verifies any number
 // of labelings against it.  For a batch, the stages overlap: while the pool
-// sweeps labeling i, the calling thread (slice 0 of the posted range is
-// deferred, ThreadPool::post_range) parses and links labeling i+1 into the
-// other half of a double buffer.  Verdicts are bit-identical to per-labeling
-// sessions at every thread count — parse results are per-node and
-// scheduling-independent, the link phase is deterministic, and each verdict
-// depends only on its own labeling's stage-2 output — so the overlap is a
-// pure wall-clock win.  threads = 1 degenerates to the strictly sequential
-// parse -> link -> sweep per labeling, spawning no threads.
+// sweeps labeling i, the calling thread (which joins the posted range's
+// claim loop only at finish, ThreadPool::post_range_stealing) parses and
+// links labeling i+1 into the other half of a double buffer.  Verdicts are
+// bit-identical to per-labeling runs at every thread count — parse results
+// are per-node and scheduling-independent, the link phase is deterministic,
+// and each verdict depends only on its own labeling's stage-2 output — so
+// the overlap is a pure wall-clock win.  threads = 1 degenerates to the
+// strictly sequential parse -> link -> sweep per labeling, spawning no
+// threads.
 //
 // On top of the batch, the verifier is *delta-aware*: run_delta verifies a
 // labeling that differs from the previously verified one at a declared set
@@ -46,7 +46,8 @@
 // delta does no stage work at all.  pls::core::attack feeds its hill-climb
 // steps through this path.
 //
-// VerificationSession (session.hpp) is a batch-of-one over this class.
+// BatchVerifier is the one verification entry point: single-labeling callers
+// use run_one, a batch of one.
 #pragma once
 
 #include <memory>
@@ -89,16 +90,6 @@ struct BatchOptions {
   /// on any hot path; histogram handles are resolved once per name at
   /// construction, never per labeling.  Must outlive the verifier.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Stage-3 scheduler.  kStealing (the default) has the sweep claim
-  /// fixed-size center chunks from a shared cursor
-  /// (ThreadPool::post_range_stealing), so on skewed instances a slot that
-  /// drew light balls takes load off the fat region instead of idling
-  /// behind the static split.  kStatic keeps the contiguous deterministic
-  /// partition (one slice per slot).  Verdict bytes are per-center disjoint
-  /// and per-worker scratch is keyed by execution slot, so verdicts are
-  /// bit-identical across both modes at every thread count.
-  enum class SweepMode { kStealing, kStatic };
-  SweepMode sweep = SweepMode::kStealing;
 };
 
 class BatchVerifier {
@@ -109,15 +100,16 @@ class BatchVerifier {
                 unsigned t, BatchOptions options = {});
 
   /// Verifies every labeling of the span, pipelined as described above.
-  /// verdicts[i] is bit-identical to a fresh per-labeling session (and to
+  /// verdicts[i] is bit-identical to a fresh verifier's run_one (and to
   /// run_verifier_t_baseline) at every thread count.  `pins[i]` (optional,
   /// may be shorter than `labelings` or empty) keeps labeling i's aliased
   /// buffer alive through its parse + sweep window; see BufferPin.
   std::vector<core::Verdict> run(std::span<const core::Labeling> labelings,
                                  std::span<const BufferPin> pins = {});
 
-  /// Batch of one; the geometry atlas still persists across calls, which is
-  /// what the adversary's hill-climb loop amortizes.
+  /// Batch of one; callable repeatedly with different labelings.  The
+  /// geometry atlas, the thread pool and the buffers' capacity persist
+  /// across calls, which is what the adversary's hill-climb loop amortizes.
   core::Verdict run_one(const core::Labeling& labeling,
                         BufferPin pin = nullptr);
 
@@ -145,13 +137,12 @@ class BatchVerifier {
   bool has_resident() const noexcept { return resident_valid_; }
 
   /// Cooperative cancellation: while set, every run checks the token at
-  /// per-labeling boundaries (and, under the kStealing sweep, at every
-  /// chunk-claim boundary inside the sweep via ThreadPool's
-  /// RangeOptions::cancel; kStatic slices finish their slice first) and
-  /// abandons the run with util::CancelledError.  An abandoned run leaves
-  /// the verifier exactly like any other throwing run: no resident state
-  /// (has_resident() false) and every buffer rebuilt from scratch by the
-  /// next run, whose verdicts are therefore still bit-exact.  The token is
+  /// per-labeling boundaries and at every chunk-claim boundary inside the
+  /// sweep (ThreadPool's RangeOptions::cancel), and abandons the run with
+  /// util::CancelledError.  An abandoned run leaves the verifier exactly
+  /// like any other throwing run: no resident state (has_resident() false)
+  /// and every buffer rebuilt from scratch by the next run, whose verdicts
+  /// are therefore still bit-exact.  The token is
   /// read per run — the serving tier re-arms one token per request.  Null
   /// (the default) disables all checks.  Must outlive the runs it governs.
   void set_cancel(const util::CancelToken* cancel) noexcept {
@@ -215,9 +206,9 @@ class BatchVerifier {
                    const ParsedLabeling& parsed,
                    std::span<const graph::NodeIndex> dirty,
                    std::vector<std::uint8_t>& accept);
-  /// Publishes the completed stealing job's RangeStats (steal/chunk counts,
-  /// per-slot busy time) to the metrics sinks; no-op under kStatic or with
-  /// no registry.  Call after finish_range()/for_range_stealing returns.
+  /// Publishes the completed sweep job's RangeStats (steal/chunk counts,
+  /// per-slot busy time) to the metrics sinks; no-op with no registry.
+  /// Call after finish_range()/for_range_stealing returns.
   void record_sweep_stats();
 
   const core::Scheme& scheme_;
@@ -225,7 +216,6 @@ class BatchVerifier {
   const local::Configuration& cfg_;
   unsigned t_;
   unsigned threads_;
-  BatchOptions::SweepMode sweep_mode_;
   std::shared_ptr<GeometryAtlas> atlas_;
   std::unique_ptr<util::ThreadPool> pool_;
 

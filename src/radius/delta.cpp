@@ -52,7 +52,7 @@ std::span<const graph::NodeIndex> DirtyIndex::collect(
     }
   }
 
-  // Sorted dirty centers: deterministic sweep order, contiguous pool slices
+  // Sorted dirty centers: deterministic sweep order, contiguous pool chunks
   // walk blocks in index order (one block re-request per boundary), and the
   // verdict splice reads like the full sweep's.
   std::sort(dirty_.begin(), dirty_.end());

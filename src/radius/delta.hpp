@@ -21,7 +21,7 @@
 // the atlas (each touched node is itself a dirty center of its own block, so
 // a lookup never builds geometry the sweep won't want), deduplicating with
 // an epoch-stamped visited set, and handing back the centers sorted — the
-// order the sweep's static partition wants for block locality.  At r = 1 the
+// order the sweep's contiguous chunks want for block locality.  At r = 1 the
 // ball is the closed neighborhood and the graph's adjacency answers
 // directly, with no geometry at all (the plain 1-round schemes' path).
 #pragma once

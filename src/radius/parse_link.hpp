@@ -1,7 +1,7 @@
 // Shared link-phase helpers for the spread schemes' parse caches.
 //
 // Both SpreadScheme and FragmentSpreadScheme implement the link hooks the
-// same way: walk the session's per-node parse cache and intern each
+// same way: walk the verifier's per-node parse cache and intern each
 // certificate's chunk payload into a dense class id (equal id <=>
 // bit-identical chunk), so the per-ball chunk-agreement checks on the verify
 // hot path compare ids instead of BitStrings.  The helpers are templated on

@@ -54,16 +54,16 @@ class SpreadScheme final : public BallScheme {
   std::size_t proof_size_bound(std::size_t n,
                                std::size_t state_bits) const override;
 
-  /// Parse-once support (session.hpp): the wire format is parsed per node
+  /// Parse-once support (batch.hpp): the wire format is parsed per node
   /// exactly once per labeling; verify_ball reads the shared cache and only
-  /// falls back to parsing locally when run without a session cache.
+  /// falls back to parsing locally when run without a verifier's cache.
   bool has_cert_parser() const noexcept override { return true; }
   std::unique_ptr<ParsedCert> parse_cert(
       const local::Certificate& cert) const override;
 
   /// Interns the parsed chunk payloads into dense class ids (equal id <=>
   /// bit-identical chunk), so verify_ball's chunk-agreement check compares
-  /// ids instead of BitStrings on the session hot path.
+  /// ids instead of BitStrings on the sweep hot path.
   void link_parses(
       std::span<const std::unique_ptr<ParsedCert>> parsed) const override;
 

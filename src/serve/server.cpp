@@ -58,7 +58,6 @@ radius::BatchVerifier& Server::verifier_for(Tenant& tenant) {
     opts.threads = options_.threads;
     opts.atlas = atlas_;
     opts.metrics = options_.metrics;
-    opts.sweep = options_.sweep;
     tenant.verifier = std::make_unique<radius::BatchVerifier>(
         *tenant.scheme, *tenant.cfg, tenant.t, std::move(opts));
   }
@@ -276,7 +275,7 @@ Server::Response Server::dispatch(Tenant& tenant, Request request) {
 
   radius::BatchVerifier& verifier = verifier_for(tenant);
   // Arm the deadline for cooperative cancellation: the verifier polls the
-  // token at labeling boundaries and the stealing sweep at chunk claims.
+  // token at labeling boundaries and the sweep at every chunk claim.
   // Deadline 0 never fires.  The token is reset per request, so one member
   // suffices under the single-dispatcher thread contract.
   cancel_.reset(request.deadline_ns);

@@ -125,9 +125,6 @@ struct ServerOptions {
   /// Must be >= 1 (constructor-enforced): every request costs at least one
   /// unit, so a zero quantum could never serve anything.
   std::uint64_t quantum = 256;
-  /// Stage-3 scheduler for every tenant verifier.
-  radius::BatchOptions::SweepMode sweep =
-      radius::BatchOptions::SweepMode::kStealing;
   /// Admission bound on each tenant's queued cost (sum of per-request costs,
   /// cost = max(1, payload_count)).  A submit that would push the tenant
   /// past the bound is shed with RejectKind::kOverloaded and a retry-after
@@ -163,9 +160,14 @@ class Server {
     std::uint64_t latency_ns = 0;  ///< completion - arrival
   };
 
-  /// Enqueues a frame.  `arrival_ns` is the open-loop arrival timestamp
-  /// (steady-clock ns) latency is measured from; pass now_ns() for
-  /// closed-loop callers.  The server shares ownership of the buffer until
+  /// Enqueues a frame.  `arrival_ns` (steady-clock ns, the now_ns()
+  /// timebase) is when the request arrived; latency and the TTL deadline
+  /// are measured from it.  Open-loop callers must pass the timestamp they
+  /// recorded at arrival, not now_ns() at this call: with one dispatcher,
+  /// submit can run up to one full verification after the request arrived,
+  /// and stamping here under-reports latency by that lag.  Only a
+  /// closed-loop caller, whose request arrives at this call, passes
+  /// now_ns().  The server shares ownership of the buffer until
   /// the request completes (zero-copy pinning); the producer must not
   /// mutate the bytes until then.  Frames that fail parsing, don't match
   /// their claimed tenant's (n, epoch, t), or send a delta before any full

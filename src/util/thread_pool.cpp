@@ -42,16 +42,20 @@ unsigned ThreadPool::hardware_threads() noexcept {
   return hw == 0 ? 1 : hw;
 }
 
-std::size_t ThreadPool::default_chunk(std::size_t n) const noexcept {
-  // ~16 chunks per slot: fine enough that one fat region rebalances across
-  // the pool, coarse enough that the shared-cursor fetch_add stays noise.
-  return std::max<std::size_t>(1, n / (std::size_t{threads_} * 16));
+ThreadPool::Job ThreadPool::make_job(
+    std::size_t n, const RangeOptions& options) const noexcept {
+  // Default: ~16 chunks per slot — fine enough that one fat region
+  // rebalances across the pool, coarse enough that the shared-cursor
+  // fetch_add stays noise.
+  const std::size_t chunk =
+      options.chunk != 0
+          ? options.chunk
+          : std::max<std::size_t>(1, n / (std::size_t{threads_} * 16));
+  return Job{n, chunk, (n + chunk - 1) / chunk, options.cancel};
 }
 
 std::exception_ptr ThreadPool::run_stealing(unsigned worker, const RangeFn& fn,
-                                            std::size_t n, std::size_t chunk,
-                                            std::size_t chunk_count,
-                                            const CancelToken* cancel,
+                                            const Job& job,
                                             WorkerTotals& totals) noexcept {
   std::exception_ptr error;
   const std::uint64_t start = now_ns();
@@ -59,13 +63,13 @@ std::exception_ptr ThreadPool::run_stealing(unsigned worker, const RangeFn& fn,
     // Cooperative cancellation boundary: checked before every claim, so a
     // chunk already in flight completes (its per-index writes are whole)
     // but no further work is taken once the token trips.
-    if (cancel != nullptr && cancel->cancelled()) break;
+    if (job.cancel != nullptr && job.cancel->cancelled()) break;
     // Relaxed: uniqueness of the claimed index is the only requirement; the
     // chunk's data dependencies are ordered by the job hand-off mutex.
     const std::size_t c = steal_next_.fetch_add(1, std::memory_order_relaxed);
-    if (c >= chunk_count) break;
-    const std::size_t begin = c * chunk;
-    const std::size_t end = std::min(n, begin + chunk);
+    if (c >= job.chunk_count) break;
+    const std::size_t begin = c * job.chunk;
+    const std::size_t end = std::min(job.n, begin + job.chunk);
     try {
       // Span per executed chunk: a straggler's load shows as its chunks
       // migrating to peer slots instead of one long stuck slice.
@@ -79,7 +83,7 @@ std::exception_ptr ThreadPool::run_stealing(unsigned worker, const RangeFn& fn,
       break;  // stop claiming; peers drain the rest
     }
     ++totals.chunks;
-    if (chunk_home(c, chunk_count, threads_) != worker) ++totals.steals;
+    if (chunk_home(c, job.chunk_count, threads_) != worker) ++totals.steals;
   }
   totals.busy_ns += now_ns() - start;
   return error;
@@ -89,11 +93,7 @@ void ThreadPool::worker_loop(unsigned worker) {
   std::uint64_t seen = 0;
   while (true) {
     const RangeFn* fn = nullptr;
-    std::size_t n = 0;
-    bool stealing = false;
-    std::size_t chunk = 1;
-    std::size_t chunk_count = 0;
-    const CancelToken* cancel = nullptr;
+    Job job;
     {
       MutexLock lock(mu_);
       // Explicit wait loop (not the predicate-lambda overload): the guarded
@@ -102,161 +102,53 @@ void ThreadPool::worker_loop(unsigned worker) {
       if (stopping_) return;
       seen = generation_;
       fn = job_;
-      n = job_n_;
-      stealing = job_stealing_;
-      chunk = job_chunk_;
-      chunk_count = job_chunk_count_;
-      cancel = job_cancel_;
+      job = job_shape_;
     }
-    std::exception_ptr error;
     WorkerTotals totals;
-    if (stealing) {
-      error = run_stealing(worker, *fn, n, chunk, chunk_count, cancel, totals);
-    } else {
-      const auto [begin, end] = slice(n, threads_, worker);
-      if (begin < end) {
-        try {
-          // Span per executed slice: exposes per-slot skew (a straggling
-          // worker shows as one long "pool.slice" while its peers idle).
-          PLS_TRACE_SPAN("pool.slice", worker);
-          (*fn)(worker, begin, end);
-        } catch (...) {
-          error = std::current_exception();
-        }
-      }
-    }
+    std::exception_ptr error = run_stealing(worker, *fn, job, totals);
     {
       MutexLock lock(mu_);
       if (error && !first_error_) first_error_ = std::move(error);
-      if (stealing) worker_stats_[worker] = totals;
+      worker_stats_[worker] = totals;
       if (--remaining_ == 0) done_cv_.notify_one();
     }
   }
 }
 
-void ThreadPool::for_range(std::size_t n, const RangeFn& fn) {
-  PLS_REQUIRE(!posted_);
-  if (n == 0) return;
-  if (threads_ == 1) {
-    PLS_TRACE_SPAN("pool.slice", 0);
-    fn(0, 0, n);
-    return;
-  }
-  start_workers(&fn, n, /*stealing=*/false, 1, 0, nullptr);
-  join_workers(fn, n);
-}
-
 void ThreadPool::for_range_stealing(std::size_t n, const RangeFn& fn,
                                     RangeOptions options) {
   PLS_REQUIRE(!posted_);
-  if (n == 0) {
-    last_stats_ = RangeStats{};
-    last_stats_.worker_busy_ns.assign(threads_, 0);
-    return;
-  }
-  const std::size_t chunk =
-      options.chunk != 0 ? options.chunk : default_chunk(n);
-  const std::size_t chunk_count = (n + chunk - 1) / chunk;
-  if (threads_ == 1) {
-    // Sequential fallback: one claimant drains the cursor in index order —
-    // the same traversal as a plain loop, split into contiguous calls; no
-    // threads spawned, no steals possible.
-    steal_next_.store(0, std::memory_order_relaxed);
-    WorkerTotals own;
-    const std::exception_ptr error =
-        run_stealing(0, fn, n, chunk, chunk_count, options.cancel, own);
-    last_stats_.chunks = own.chunks;
-    last_stats_.steals = own.steals;
-    last_stats_.cancelled = !error && own.chunks != chunk_count;
-    last_stats_.worker_busy_ns.assign(1, own.busy_ns);
-    if (error) std::rethrow_exception(error);
-    if (last_stats_.cancelled) throw CancelledError();
-    return;
-  }
-  start_workers(&fn, n, /*stealing=*/true, chunk, chunk_count, options.cancel);
-  join_workers_stealing(fn, n, chunk, chunk_count, options.cancel);
-}
-
-void ThreadPool::post_range(std::size_t n, RangeFn fn) {
-  PLS_REQUIRE(!posted_);
-  posted_fn_ = std::move(fn);
-  posted_ = true;
-  posted_stealing_ = false;
-  posted_n_ = n;
-  if (n == 0 || threads_ == 1) return;  // whole range runs in finish_range
-  start_workers(&posted_fn_, n, /*stealing=*/false, 1, 0, nullptr);
+  const Job job = make_job(n, options);
+  start_workers(&fn, job);
+  join_workers(fn, job);
 }
 
 void ThreadPool::post_range_stealing(std::size_t n, RangeFn fn,
                                      RangeOptions options) {
   PLS_REQUIRE(!posted_);
   posted_fn_ = std::move(fn);
+  posted_job_ = make_job(n, options);
   posted_ = true;
-  posted_stealing_ = true;
-  posted_n_ = n;
-  posted_chunk_ = options.chunk != 0 ? options.chunk : default_chunk(n);
-  posted_chunk_count_ = (n + posted_chunk_ - 1) / posted_chunk_;
-  posted_cancel_ = options.cancel;
-  if (n == 0 || threads_ == 1) return;  // whole range runs in finish_range
-  start_workers(&posted_fn_, n, /*stealing=*/true, posted_chunk_,
-                posted_chunk_count_, posted_cancel_);
+  start_workers(&posted_fn_, posted_job_);
 }
 
 void ThreadPool::finish_range() {
   PLS_REQUIRE(posted_);
   posted_ = false;
-  const std::size_t n = posted_n_;
-  if (posted_stealing_) {
-    if (n == 0) {
-      last_stats_ = RangeStats{};
-      last_stats_.worker_busy_ns.assign(threads_, 0);
-      return;
-    }
-    if (threads_ == 1) {
-      steal_next_.store(0, std::memory_order_relaxed);
-      WorkerTotals own;
-      const std::exception_ptr error =
-          run_stealing(0, posted_fn_, n, posted_chunk_, posted_chunk_count_,
-                       posted_cancel_, own);
-      last_stats_.chunks = own.chunks;
-      last_stats_.steals = own.steals;
-      last_stats_.cancelled = !error && own.chunks != posted_chunk_count_;
-      last_stats_.worker_busy_ns.assign(1, own.busy_ns);
-      if (error) std::rethrow_exception(error);
-      if (last_stats_.cancelled) throw CancelledError();
-      return;
-    }
-    join_workers_stealing(posted_fn_, n, posted_chunk_, posted_chunk_count_,
-                          posted_cancel_);
-    return;
-  }
-  if (n == 0) return;
-  if (threads_ == 1) {
-    // Sequential fallback: the deferred range is the plain loop.
-    PLS_TRACE_SPAN("pool.slice", 0);
-    posted_fn_(0, 0, n);
-    return;
-  }
-  join_workers(posted_fn_, n);
+  join_workers(posted_fn_, posted_job_);
 }
 
-void ThreadPool::start_workers(const RangeFn* fn, std::size_t n, bool stealing,
-                               std::size_t chunk, std::size_t chunk_count,
-                               const CancelToken* cancel) {
+void ThreadPool::start_workers(const RangeFn* fn, const Job& job) {
   // Reset the cursor before publishing the job: the generation_ bump under
   // mu_ is the release edge workers synchronize with, so no worker can read
   // the new job without also observing the reset cursor.
-  if (stealing) steal_next_.store(0, std::memory_order_relaxed);
+  steal_next_.store(0, std::memory_order_relaxed);
+  // An empty range, or a pool without peers, runs entirely in join_workers.
+  if (job.n == 0 || threads_ == 1) return;
   {
     MutexLock lock(mu_);
     job_ = fn;
-    job_n_ = n;
-    job_stealing_ = stealing;
-    job_chunk_ = chunk;
-    job_chunk_count_ = chunk_count;
-    job_cancel_ = cancel;
-    if (stealing)
-      std::fill(worker_stats_.begin(), worker_stats_.end(), WorkerTotals{});
+    job_shape_ = job;
     remaining_ = threads_ - 1;
     first_error_ = nullptr;
     ++generation_;
@@ -264,48 +156,23 @@ void ThreadPool::start_workers(const RangeFn* fn, std::size_t n, bool stealing,
   start_cv_.notify_all();
 }
 
-void ThreadPool::join_workers(const RangeFn& fn, std::size_t n) {
-  // The caller owns slice 0; its exception still waits for the workers so
-  // the pool is quiescent before it propagates.
-  std::exception_ptr own_error;
-  const auto [begin, end] = slice(n, threads_, 0);
-  if (begin < end) {
-    try {
-      PLS_TRACE_SPAN("pool.slice", 0);
-      fn(0, begin, end);
-    } catch (...) {
-      own_error = std::current_exception();
-    }
+void ThreadPool::join_workers(const RangeFn& fn, const Job& job) {
+  if (job.n == 0) {
+    last_stats_ = RangeStats{};
+    last_stats_.worker_busy_ns.assign(threads_, 0);
+    return;
   }
-
-  std::exception_ptr error;
-  {
-    MutexLock lock(mu_);
-    while (remaining_ != 0) done_cv_.wait(lock);
-    job_ = nullptr;
-    error = own_error ? std::move(own_error) : std::move(first_error_);
-    first_error_ = nullptr;
-  }
-  if (error) std::rethrow_exception(error);
-}
-
-void ThreadPool::join_workers_stealing(const RangeFn& fn, std::size_t n,
-                                       std::size_t chunk,
-                                       std::size_t chunk_count,
-                                       const CancelToken* cancel) {
   // The caller is claimant 0: it joins the chunk race instead of owning a
   // fixed slice, so a skewed prefix cannot pin the calling thread either.
+  // Its exception still waits for the workers so the pool is quiescent
+  // before it propagates.
   WorkerTotals own;
-  const std::exception_ptr own_error =
-      run_stealing(0, fn, n, chunk, chunk_count, cancel, own);
-
-  std::exception_ptr error;
-  bool cancelled = false;
+  std::exception_ptr error = run_stealing(0, fn, job, own);
   {
     MutexLock lock(mu_);
     while (remaining_ != 0) done_cv_.wait(lock);
     job_ = nullptr;
-    job_cancel_ = nullptr;
+    job_shape_ = Job{};
     worker_stats_[0] = own;
     last_stats_.chunks = 0;
     last_stats_.steals = 0;
@@ -315,18 +182,16 @@ void ThreadPool::join_workers_stealing(const RangeFn& fn, std::size_t n,
       last_stats_.steals += worker_stats_[w].steals;
       last_stats_.worker_busy_ns[w] = worker_stats_[w].busy_ns;
     }
-    error = own_error ? std::move(own_error) : std::move(first_error_);
+    if (!error) error = std::move(first_error_);
     first_error_ = nullptr;
-    // The range was cancelled iff chunks were left unexecuted and nothing
-    // threw.  A real exception always wins over cancellation — even when a
-    // cancel raced the same job — so callers see what actually broke.  If
-    // every chunk executed before the claimants observed the token, the
-    // range is complete and cancellation is a no-op.
-    cancelled = !error && last_stats_.chunks != chunk_count;
-    last_stats_.cancelled = cancelled;
   }
+  // A real exception always wins over cancellation — even when a cancel
+  // raced the same job — so callers see what actually broke.  If every
+  // chunk executed before the claimants observed the token, the range is
+  // complete and cancellation is a no-op.
+  last_stats_.cancelled = !error && last_stats_.chunks != job.chunk_count;
   if (error) std::rethrow_exception(error);
-  if (cancelled) throw CancelledError();
+  if (last_stats_.cancelled) throw CancelledError();
 }
 
 }  // namespace pls::util

@@ -2,31 +2,22 @@
 //
 // The radius-t engine evaluates one independent verdict per node, so the only
 // parallel primitive the codebase needs is a blocking parallel-for over a
-// dense index range.  ThreadPool provides exactly that in two flavors:
-//
-//   * for_range/post_range — the STATIC split: [0, n) cut into
-//     `thread_count()` contiguous slices (the same partition every call, so
-//     work assignment — and therefore any per-worker scratch reuse — is
-//     deterministic), one slice per worker.  Slice 0 always runs on the
-//     calling thread; a 1-thread pool therefore spawns no threads at all and
-//     is the sequential fallback path, byte-for-byte the same traversal
-//     order as a plain loop.  Right when per-index work is uniform; on
-//     skewed instances whole cores idle behind the one fat slice.
-//   * for_range_stealing/post_range_stealing — the WORK-STEALING split:
-//     [0, n) cut into fixed-size chunks claimed from a shared atomic cursor
-//     (chunked claiming — the degenerate all-stealing deque).  Assignment is
-//     first-come, so a worker that drew light chunks immediately takes load
-//     off a straggler; per-worker scratch stays valid because `worker` still
-//     names the executing slot, and callers whose writes are per-index
-//     disjoint (the sweep) get bit-identical results at every thread count
-//     even though the assignment is no longer deterministic.  Per-job
-//     steal/chunk counts and per-worker busy time come back through
-//     last_range_stats().
+// dense index range.  ThreadPool provides exactly one scheduler for it: the
+// WORK-STEALING split.  [0, n) is cut into fixed-size chunks claimed from a
+// shared atomic cursor (chunked claiming — the degenerate all-stealing
+// deque).  Assignment is first-come, so a worker that drew light chunks
+// immediately takes load off a straggler; per-worker scratch stays valid
+// because `worker` names the executing slot, and callers whose writes are
+// per-index disjoint (the sweep) get bit-identical results at every thread
+// count even though the assignment is not deterministic.  A 1-thread pool
+// spawns no threads: the caller drains the chunks in index order, the same
+// traversal as a plain loop.  Per-job steal/chunk counts and per-worker busy
+// time come back through last_range_stats().
 //
 // Exceptions thrown by `fn` are captured (first one wins) and rethrown on
-// the calling thread after every slice has finished, so the pool is never
-// left with a wedged worker.  A stealing worker stops claiming after its
-// first exception; the remaining chunks drain to its peers.
+// the calling thread after every claimant has finished, so the pool is never
+// left with a wedged worker.  A worker stops claiming after its first
+// exception; the remaining chunks drain to its peers.
 // Locking discipline is compiler-checked: every cross-thread member is
 // GUARDED_BY(mu_) and Clang's thread-safety analysis (util/thread_annotations
 // .hpp, the CI `analysis` job) rejects unlocked access paths; the one
@@ -65,13 +56,13 @@ struct RangeOptions {
   const CancelToken* cancel = nullptr;
 };
 
-/// What the most recent stealing job actually did, aggregated at
-/// finish_range: the observability feed for the sweep scheduler.
+/// What the most recent range job actually did, aggregated at its finish:
+/// the observability feed for the sweep scheduler.
 struct RangeStats {
   std::uint64_t chunks = 0;  ///< chunks executed across all workers
-  std::uint64_t steals = 0;  ///< chunks run by a slot other than the static
-                             ///< owner of that chunk index — the load the
-                             ///< static split would have misplaced
+  std::uint64_t steals = 0;  ///< chunks run by a slot other than the chunk's
+                             ///< home under a contiguous split (chunk_home)
+                             ///< — the load such a split would misplace
   bool cancelled = false;    ///< range abandoned with chunks unexecuted
                              ///< (RangeOptions::cancel observed in time)
   std::vector<std::uint64_t> worker_busy_ns;  ///< per-slot claim-loop wall
@@ -92,139 +83,114 @@ class ThreadPool {
 
   /// fn(worker, begin, end): worker in [0, thread_count()) identifies the
   /// execution slot (stable across calls — index per-worker scratch with it),
-  /// [begin, end) the contiguous slice of [0, n) it owns.  Empty slices are
-  /// not invoked.  Blocks until the whole range is covered.
+  /// [begin, end) the chunk of [0, n) it claimed.  Chunks are never empty.
   using RangeFn = std::function<void(unsigned worker, std::size_t begin,
                                      std::size_t end)>;
-  void for_range(std::size_t n, const RangeFn& fn);
 
-  /// Asynchronous variant for software pipelining: posts the job and returns
-  /// immediately — worker threads start slices 1..thread_count()-1 right
-  /// away, while slice 0 is deferred until finish_range(), where it runs on
-  /// the calling thread.  Between the two calls the caller may do unrelated
-  /// work (the batch verifier parses labeling i+1 there while the workers
-  /// sweep labeling i).  The static partition, and therefore any per-worker
-  /// scratch reuse, is identical to for_range's; a 1-thread pool simply runs
-  /// the whole range inside finish_range(), so the sequential path still
-  /// spawns nothing.  At most one posted range may be outstanding;
-  /// for_range(n, fn) == post_range(n, fn) + finish_range().
-  void post_range(std::size_t n, RangeFn fn);
-
-  /// Completes the posted range: runs slice 0 here, blocks until every
-  /// worker slice has finished, and rethrows the first captured exception.
-  void finish_range();
-
-  /// Work-stealing parallel-for: fn runs once per claimed chunk, with
-  /// `worker` the executing slot and [begin, end) that chunk.  Same blocking
-  /// contract as for_range; assignment is nondeterministic, so callers must
-  /// write disjoint per-index outputs (the sweep does) for reproducible
-  /// results.  A 1-thread pool claims the chunks in index order — the same
-  /// traversal as a plain loop, no threads spawned.
+  /// Work-stealing parallel-for: fn runs once per claimed chunk.  Blocks
+  /// until the whole range is covered.  Assignment is nondeterministic, so
+  /// callers must write disjoint per-index outputs (the sweep does) for
+  /// reproducible results.  A 1-thread pool claims the chunks in index
+  /// order — the same traversal as a plain loop, no threads spawned.
+  /// for_range_stealing(n, fn, o) == post_range_stealing(n, fn, o) +
+  /// finish_range().
   void for_range_stealing(std::size_t n, const RangeFn& fn,
                           RangeOptions options = {});
 
-  /// Asynchronous stealing variant, post_range's pipelining contract: the
-  /// workers start claiming immediately, the calling thread joins the claim
-  /// loop inside finish_range().  At most one posted range (of either
-  /// flavor) may be outstanding.
-  void post_range_stealing(std::size_t n, RangeFn fn, RangeOptions options = {});
+  /// Asynchronous variant for software pipelining: posts the job and returns
+  /// immediately — the workers start claiming right away, while the calling
+  /// thread joins the claim loop only inside finish_range().  Between the
+  /// two calls the caller may do unrelated work (the batch verifier parses
+  /// labeling i+1 there while the workers sweep labeling i).  A 1-thread
+  /// pool runs the whole range inside finish_range(), so the sequential path
+  /// still spawns nothing.  At most one posted range may be outstanding.
+  void post_range_stealing(std::size_t n, RangeFn fn,
+                           RangeOptions options = {});
 
-  /// Stats of the most recent *stealing* job completed by this pool
-  /// (for_range_stealing or post_range_stealing + finish_range); valid until
-  /// the next stealing job starts.  Calling-thread-only, like the pool's
-  /// other bookkeeping between post and finish.
+  /// Completes the posted range: claims chunks here until the range is
+  /// exhausted, blocks until every worker has finished, and rethrows the
+  /// first captured exception (or CancelledError, see RangeOptions::cancel).
+  void finish_range();
+
+  /// Stats of the most recent job completed by this pool; valid until the
+  /// next job starts.  Calling-thread-only, like the pool's other
+  /// bookkeeping between post and finish.
   const RangeStats& last_range_stats() const noexcept { return last_stats_; }
 
-  /// Static owner of chunk `c` when `chunks` chunk indices are contiguously
+  /// Home slot of chunk `c` when `chunks` chunk indices are contiguously
   /// split over `threads` slots — the baseline a "steal" is counted against.
   static unsigned chunk_home(std::size_t c, std::size_t chunks,
                              unsigned threads) noexcept {
     return static_cast<unsigned>(((c + 1) * threads - 1) / chunks);
   }
 
-  /// Slice `worker` of the static partition of [0, n) into `threads` parts.
-  static std::pair<std::size_t, std::size_t> slice(std::size_t n,
-                                                   unsigned threads,
-                                                   unsigned worker) noexcept {
-    return {n * worker / threads, n * (worker + 1) / threads};
-  }
-
   /// std::thread::hardware_concurrency, clamped to >= 1.
   static unsigned hardware_threads() noexcept;
 
  private:
-  /// One slot's contribution to a stealing job, accumulated in locals during
-  /// the claim loop and committed to worker_stats_ under mu_ at job end.
+  /// One range job's shape, fixed when it is posted.
+  struct Job {
+    std::size_t n = 0;
+    std::size_t chunk = 1;
+    std::size_t chunk_count = 0;
+    const CancelToken* cancel = nullptr;
+  };
+
+  /// One slot's contribution to a job, accumulated in locals during the
+  /// claim loop and committed to worker_stats_ under mu_ at job end.
   struct WorkerTotals {
     std::uint64_t chunks = 0;
     std::uint64_t steals = 0;
     std::uint64_t busy_ns = 0;
   };
 
-  /// Shared cancellation outcome is derived at join time, not carried per
-  /// worker: the range was cancelled iff fewer chunks executed than exist
-  /// and no chunk threw — see join_workers_stealing.
-
+  Job make_job(std::size_t n, const RangeOptions& options) const noexcept;
   void worker_loop(unsigned worker);
-  void start_workers(const RangeFn* fn, std::size_t n, bool stealing,
-                     std::size_t chunk, std::size_t chunk_count,
-                     const CancelToken* cancel) PLS_EXCLUDES(mu_);
-  void join_workers(const RangeFn& fn, std::size_t n) PLS_EXCLUDES(mu_);
-  void join_workers_stealing(const RangeFn& fn, std::size_t n,
-                             std::size_t chunk, std::size_t chunk_count,
-                             const CancelToken* cancel) PLS_EXCLUDES(mu_);
+  /// Resets the claim cursor and, with peers to wake, publishes the job.
+  void start_workers(const RangeFn* fn, const Job& job) PLS_EXCLUDES(mu_);
+  /// Runs claimant 0 on the calling thread, waits for the workers, fills
+  /// last_stats_ and rethrows.  The range was cancelled iff fewer chunks
+  /// executed than exist and no chunk threw.
+  void join_workers(const RangeFn& fn, const Job& job) PLS_EXCLUDES(mu_);
   /// The claim loop: grabs chunks off steal_next_ until the range is
-  /// exhausted, `cancel` reads cancelled, or fn throws (the returned error
-  /// stops this slot's claiming but not its peers').  Fills `totals`; never
-  /// throws itself.
+  /// exhausted, the job's token reads cancelled, or fn throws (the returned
+  /// error stops this slot's claiming but not its peers').  Fills `totals`;
+  /// never throws itself.
   std::exception_ptr run_stealing(unsigned worker, const RangeFn& fn,
-                                  std::size_t n, std::size_t chunk,
-                                  std::size_t chunk_count,
-                                  const CancelToken* cancel,
+                                  const Job& job,
                                   WorkerTotals& totals) noexcept;
-  std::size_t default_chunk(std::size_t n) const noexcept;
 
   const unsigned threads_;
   std::vector<std::thread> workers_;
 
   Mutex mu_;
   CondVar start_cv_;  // signals workers: a new job is posted
-  CondVar done_cv_;   // signals caller: all slices finished
-  // Handed from the caller to the workers and back under mu_.
+  CondVar done_cv_;   // signals caller: all workers finished
+  // Handed from the caller to the workers and back under mu_; per-slot
+  // totals are committed back under the same lock the job-end remaining_
+  // decrement already takes.
   const RangeFn* job_ PLS_GUARDED_BY(mu_) = nullptr;  // valid while job runs
-  std::size_t job_n_ PLS_GUARDED_BY(mu_) = 0;
+  Job job_shape_ PLS_GUARDED_BY(mu_);
   std::uint64_t generation_ PLS_GUARDED_BY(mu_) = 0;  // bumped per job
-  unsigned remaining_ PLS_GUARDED_BY(mu_) = 0;  // worker slices outstanding
+  unsigned remaining_ PLS_GUARDED_BY(mu_) = 0;  // workers still claiming
   std::exception_ptr first_error_ PLS_GUARDED_BY(mu_);
   bool stopping_ PLS_GUARDED_BY(mu_) = false;
-  // Stealing-job parameters, published to the workers with the job under
-  // mu_; per-slot totals are committed back under the same lock the job-end
-  // remaining_ decrement already takes, so the stealing path adds no lock
-  // acquisitions beyond the static path's.
-  bool job_stealing_ PLS_GUARDED_BY(mu_) = false;
-  std::size_t job_chunk_ PLS_GUARDED_BY(mu_) = 1;
-  std::size_t job_chunk_count_ PLS_GUARDED_BY(mu_) = 0;
-  const CancelToken* job_cancel_ PLS_GUARDED_BY(mu_) = nullptr;
   std::vector<WorkerTotals> worker_stats_ PLS_GUARDED_BY(mu_);
   // The chunk claim cursor.  Deliberately NOT guarded: fetch_add(relaxed)
   // only has to hand every claimant a unique index — all data the chunks
   // read or write is ordered by the job hand-off mutex (publish at
   // start_workers, collect at the remaining_ == 0 wait), never by this
-  // cursor.  Reset (relaxed) before each stealing job's publication; quiesced
+  // cursor.  Reset (relaxed) before each job's publication; quiesced
   // workers cannot observe the reset early because they re-read the job only
   // after the generation_ bump behind the same mutex.
   std::atomic<std::size_t> steal_next_{0};
-  // post_range bookkeeping: touched only by the calling thread between
-  // post_range and finish_range (the workers read the job through job_),
+  // post_range_stealing bookkeeping: touched only by the calling thread
+  // between post and finish_range (the workers read the job through job_),
   // so these are caller-local, not guarded.
-  RangeFn posted_fn_;      // owning copy for post_range jobs
-  std::size_t posted_n_ = 0;
-  bool posted_ = false;    // a post_range awaits finish_range
-  bool posted_stealing_ = false;
-  std::size_t posted_chunk_ = 1;
-  std::size_t posted_chunk_count_ = 0;
-  const CancelToken* posted_cancel_ = nullptr;
-  RangeStats last_stats_;  // assembled at finish of a stealing job
+  RangeFn posted_fn_;    // owning copy of the posted job's body
+  Job posted_job_;
+  bool posted_ = false;  // a posted range awaits finish_range
+  RangeStats last_stats_;
 };
 
 }  // namespace pls::util

@@ -11,7 +11,7 @@
 #include "radius/sketch.hpp"
 
 #include "graph/generators.hpp"
-#include "radius/session.hpp"
+#include "radius/batch.hpp"
 #include "radius/spread.hpp"
 #include "schemes/spanning_tree.hpp"
 #include "testing/helpers.hpp"
@@ -278,9 +278,9 @@ TEST(GeometryAtlas, KeyedByGraphEpochAcrossGraphs) {
   EXPECT_GT(atlas.stats().hits, 0u);
 }
 
-// One atlas shared by two sessions over the same configuration: the second
-// session's sweep is served entirely from cache.
-TEST(GeometryAtlas, SharedAcrossSessions) {
+// One atlas shared by two verifiers over the same configuration: the second
+// verifier's sweep is served entirely from cache.
+TEST(GeometryAtlas, SharedAcrossVerifiers) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
   const SpreadScheme spread(base, 4);
@@ -290,15 +290,15 @@ TEST(GeometryAtlas, SharedAcrossSessions) {
   const core::Labeling honest = spread.mark(cfg);
 
   auto atlas = std::make_shared<GeometryAtlas>();
-  SessionOptions options;
+  BatchOptions options;
   options.threads = 1;
   options.atlas = atlas;
-  VerificationSession first(spread, cfg, 4, options);
-  const core::Verdict v1 = first.run(honest);
+  BatchVerifier first(spread, cfg, 4, options);
+  const core::Verdict v1 = first.run_one(honest);
   const std::uint64_t misses_after_first = atlas->stats().misses;
 
-  VerificationSession second(spread, cfg, 4, options);
-  const core::Verdict v2 = second.run(honest);
+  BatchVerifier second(spread, cfg, 4, options);
+  const core::Verdict v2 = second.run_one(honest);
   EXPECT_EQ(atlas->stats().misses, misses_after_first);
   EXPECT_GT(atlas->stats().hits, 0u);
   EXPECT_EQ(v1.accept(), v2.accept());

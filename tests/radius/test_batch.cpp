@@ -1,5 +1,5 @@
 // BatchVerifier: the pipelined batch front end must be bit-identical to
-// per-labeling sessions and to the naive reference engine at every thread
+// per-labeling runs and to the naive reference engine at every thread
 // count — including the stage-2 hazard the pipeline introduces: the parse
 // cache of labeling i+1 is filled WHILE the sweep of labeling i runs, so a
 // stale or crossed parse would be an ordering bug, not a logic bug.  These
@@ -205,8 +205,8 @@ TEST(BatchVerifier, WarmAtlasEqualsRebuildLoop) {
 }
 
 /// A deliberately skewed instance: a dense chorded ring on the lowest
-/// `core` indices (fat radius-t balls, all inside the static split's first
-/// slice) with `chains` sparse tails of `chain_len` nodes hanging off it
+/// `core` indices (fat radius-t balls, all inside a contiguous split's first
+/// share) with `chains` sparse tails of `chain_len` nodes hanging off it
 /// (tiny balls).  The shape the work-stealing sweep exists for.
 graph::Graph skewed_core_chain_graph(std::size_t core, std::size_t chains,
                                      std::size_t chain_len) {
@@ -236,11 +236,11 @@ graph::Graph skewed_core_chain_graph(std::size_t core, std::size_t chains,
   return std::move(b).build();
 }
 
-// The scheduler gate: on the skewed instance, the static and work-stealing
-// sweeps must produce bit-identical verdicts at threads {1, 2, hw} — for
-// full pipelined batches and for the delta path's dirty re-sweep — even
-// though the stealing assignment is nondeterministic.
-TEST(BatchVerifier, SkewedInstanceIdenticalAcrossSchedulersAndThreads) {
+// The scheduler gate: on the skewed instance, the work-stealing sweep must
+// match the reference engine bit for bit at threads {1, 2, hw} — for full
+// pipelined batches and for the delta path's dirty re-sweep — even though
+// the chunk assignment is nondeterministic.
+TEST(BatchVerifier, SkewedInstanceIdenticalAcrossThreads) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
   const SpreadScheme spread(base, 4);
@@ -270,26 +270,19 @@ TEST(BatchVerifier, SkewedInstanceIdenticalAcrossSchedulersAndThreads) {
 
   for (const unsigned threads :
        {1u, 2u, util::ThreadPool::hardware_threads()}) {
-    for (const BatchOptions::SweepMode mode :
-         {BatchOptions::SweepMode::kStatic,
-          BatchOptions::SweepMode::kStealing}) {
-      BatchOptions options;
-      options.threads = threads;
-      options.sweep = mode;
-      BatchVerifier batch(spread, cfg, 4, options);
-      const std::vector<Verdict> got = batch.run(labs);
-      ASSERT_EQ(got.size(), labs.size());
-      const bool stealing = mode == BatchOptions::SweepMode::kStealing;
-      for (std::size_t i = 0; i < labs.size(); ++i)
-        EXPECT_EQ(oracle[i].accept(), got[i].accept())
-            << "labeling " << i << " threads " << threads << " stealing "
-            << stealing;
-      LabelingDelta delta;
-      delta.touched = {10, tail};
-      EXPECT_EQ(batch.run_delta(delta_next, delta).accept(),
-                delta_oracle.accept())
-          << "delta threads " << threads << " stealing " << stealing;
-    }
+    BatchOptions options;
+    options.threads = threads;
+    BatchVerifier batch(spread, cfg, 4, options);
+    const std::vector<Verdict> got = batch.run(labs);
+    ASSERT_EQ(got.size(), labs.size());
+    for (std::size_t i = 0; i < labs.size(); ++i)
+      EXPECT_EQ(oracle[i].accept(), got[i].accept())
+          << "labeling " << i << " threads " << threads;
+    LabelingDelta delta;
+    delta.touched = {10, tail};
+    EXPECT_EQ(batch.run_delta(delta_next, delta).accept(),
+              delta_oracle.accept())
+        << "delta threads " << threads;
   }
 }
 

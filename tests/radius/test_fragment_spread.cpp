@@ -7,7 +7,7 @@
 
 #include <set>
 
-#include "radius/session.hpp"
+#include "radius/engine_t.hpp"
 #include "radius/spread_wire.hpp"
 #include "schemes/agree.hpp"
 #include "schemes/common.hpp"

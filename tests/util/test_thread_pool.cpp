@@ -1,5 +1,5 @@
-// ThreadPool: exact range coverage, deterministic static partition,
-// sequential fallback, exception propagation, reuse across jobs.
+// ThreadPool: exact range coverage under work stealing, sequential fallback,
+// exception propagation, cancellation, reuse across jobs.
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -12,185 +12,10 @@
 namespace pls::util {
 namespace {
 
-TEST(ThreadPool, CoversRangeExactlyOnce) {
-  for (const unsigned threads : {1u, 2u, 3u, 8u}) {
-    ThreadPool pool(threads);
-    std::vector<std::atomic<int>> hits(1000);
-    pool.for_range(hits.size(), [&](unsigned worker, std::size_t begin,
-                                    std::size_t end) {
-      EXPECT_LT(worker, threads);
-      EXPECT_LT(begin, end);
-      for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-    });
-    for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
-  }
-}
-
-TEST(ThreadPool, RangeSmallerThanThreadCount) {
-  ThreadPool pool(8);
-  std::vector<std::atomic<int>> hits(3);
-  pool.for_range(hits.size(),
-                 [&](unsigned, std::size_t begin, std::size_t end) {
-                   for (std::size_t i = begin; i < end; ++i)
-                     hits[i].fetch_add(1);
-                 });
-  for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, EmptyRangeInvokesNothing) {
-  ThreadPool pool(4);
-  std::atomic<int> calls{0};
-  pool.for_range(0, [&](unsigned, std::size_t, std::size_t) { ++calls; });
-  EXPECT_EQ(calls.load(), 0);
-}
-
-TEST(ThreadPool, SequentialFallbackRunsInline) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.thread_count(), 1u);
-  const auto caller = std::this_thread::get_id();
-  std::size_t calls = 0;
-  pool.for_range(57, [&](unsigned worker, std::size_t begin, std::size_t end) {
-    EXPECT_EQ(worker, 0u);
-    EXPECT_EQ(begin, 0u);
-    EXPECT_EQ(end, 57u);
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    ++calls;
-  });
-  EXPECT_EQ(calls, 1u);
-}
-
-TEST(ThreadPool, StaticPartitionIsDeterministic) {
-  // slice() tiles [0, n) in order, and repeated jobs see the same partition.
-  for (const unsigned threads : {1u, 2u, 5u}) {
-    std::size_t expect_begin = 0;
-    for (unsigned w = 0; w < threads; ++w) {
-      const auto [begin, end] = ThreadPool::slice(103, threads, w);
-      EXPECT_EQ(begin, expect_begin);
-      EXPECT_LE(begin, end);
-      expect_begin = end;
-    }
-    EXPECT_EQ(expect_begin, 103u);
-  }
-}
-
-TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives) {
-  ThreadPool pool(3);
-  EXPECT_THROW(
-      pool.for_range(100,
-                     [&](unsigned, std::size_t begin, std::size_t) {
-                       if (begin == 0) throw std::runtime_error("slice 0");
-                     }),
-      std::runtime_error);
-  // The pool must be reusable after a failed job.
-  std::atomic<int> total{0};
-  pool.for_range(100, [&](unsigned, std::size_t begin, std::size_t end) {
-    total.fetch_add(static_cast<int>(end - begin));
-  });
-  EXPECT_EQ(total.load(), 100);
-}
-
-TEST(ThreadPool, ReusableAcrossManyJobs) {
-  ThreadPool pool(4);
-  std::atomic<long> sum{0};
-  for (int job = 0; job < 200; ++job)
-    pool.for_range(64, [&](unsigned, std::size_t begin, std::size_t end) {
-      long local = 0;
-      for (std::size_t i = begin; i < end; ++i) local += static_cast<long>(i);
-      sum.fetch_add(local);
-    });
-  EXPECT_EQ(sum.load(), 200L * (63 * 64 / 2));
-}
-
-// post_range/finish_range: the pipelining split of for_range.  Worker
-// slices may run during the overlap window; slice 0 runs inside
-// finish_range on the calling thread; coverage and partition are identical
-// to for_range's.
-TEST(ThreadPool, PostFinishCoversRangeExactlyOnce) {
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    ThreadPool pool(threads);
-    std::vector<std::atomic<int>> hits(500);
-    std::atomic<int> overlap_work{0};
-    pool.post_range(hits.size(), [&](unsigned worker, std::size_t begin,
-                                     std::size_t end) {
-      EXPECT_LT(worker, threads);
-      for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-    });
-    // The overlap window: the caller is free here while workers run.
-    overlap_work.store(42);
-    pool.finish_range();
-    EXPECT_EQ(overlap_work.load(), 42);
-    for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
-  }
-}
-
-TEST(ThreadPool, PostFinishSequentialDefersWholeRangeToFinish) {
-  ThreadPool pool(1);
-  const auto caller = std::this_thread::get_id();
-  std::size_t calls = 0;
-  bool before_finish = true;
-  pool.post_range(31, [&](unsigned worker, std::size_t begin,
-                          std::size_t end) {
-    EXPECT_FALSE(before_finish);  // nothing may run before finish_range
-    EXPECT_EQ(worker, 0u);
-    EXPECT_EQ(begin, 0u);
-    EXPECT_EQ(end, 31u);
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    ++calls;
-  });
-  EXPECT_EQ(calls, 0u);
-  before_finish = false;
-  pool.finish_range();
-  EXPECT_EQ(calls, 1u);
-}
-
-TEST(ThreadPool, PostFinishEmptyRangeAndReuse) {
-  ThreadPool pool(3);
-  std::atomic<int> calls{0};
-  pool.post_range(0, [&](unsigned, std::size_t, std::size_t) { ++calls; });
-  pool.finish_range();
-  EXPECT_EQ(calls.load(), 0);
-  // Alternate post/finish with plain for_range on the same pool.
-  std::atomic<int> total{0};
-  pool.post_range(64, [&](unsigned, std::size_t begin, std::size_t end) {
-    total.fetch_add(static_cast<int>(end - begin));
-  });
-  pool.finish_range();
-  pool.for_range(36, [&](unsigned, std::size_t begin, std::size_t end) {
-    total.fetch_add(static_cast<int>(end - begin));
-  });
-  EXPECT_EQ(total.load(), 100);
-}
-
-TEST(ThreadPool, PostFinishExceptionPropagatesAtFinish) {
-  ThreadPool pool(2);
-  pool.post_range(10, [&](unsigned, std::size_t begin, std::size_t) {
-    if (begin == 0) throw std::runtime_error("slice 0");
-  });
-  EXPECT_THROW(pool.finish_range(), std::runtime_error);
-  std::atomic<int> total{0};
-  pool.for_range(10, [&](unsigned, std::size_t begin, std::size_t end) {
-    total.fetch_add(static_cast<int>(end - begin));
-  });
-  EXPECT_EQ(total.load(), 10);
-}
-
-TEST(ThreadPool, DoublePostOrUnpairedUseIsInvalid) {
-  ThreadPool pool(2);
-  pool.post_range(4, [](unsigned, std::size_t, std::size_t) {});
-  EXPECT_THROW(pool.post_range(4, [](unsigned, std::size_t, std::size_t) {}),
-               std::logic_error);
-  EXPECT_THROW(
-      pool.for_range(4, [](unsigned, std::size_t, std::size_t) {}),
-      std::logic_error);
-  pool.finish_range();
-  EXPECT_THROW(pool.finish_range(), std::logic_error);
-}
-
-// for_range_stealing/post_range_stealing: the chunked work-stealing split.
 // Coverage must stay exactly-once at every thread count and chunk size even
 // though assignment is first-come; the sequential fallback must remain a
 // plain in-order loop; stats must account every chunk.
-TEST(ThreadPool, StealingCoversRangeExactlyOnce) {
+TEST(ThreadPool, CoversRangeExactlyOnce) {
   for (const unsigned threads : {1u, 2u, 3u, 8u}) {
     for (const std::size_t chunk : {std::size_t{0}, std::size_t{1},
                                     std::size_t{7}, std::size_t{5000}}) {
@@ -209,7 +34,19 @@ TEST(ThreadPool, StealingCoversRangeExactlyOnce) {
   }
 }
 
-TEST(ThreadPool, StealingChunkOptionBoundsEveryCall) {
+TEST(ThreadPool, RangeSmallerThanThreadCount) {
+  ThreadPool pool(8);
+  std::vector<std::atomic<int>> hits(3);
+  pool.for_range_stealing(hits.size(),
+                          [&](unsigned, std::size_t begin, std::size_t end) {
+                            for (std::size_t i = begin; i < end; ++i)
+                              hits[i].fetch_add(1);
+                          });
+  for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(pool.last_range_stats().chunks, 3u);
+}
+
+TEST(ThreadPool, ChunkOptionBoundsEveryCall) {
   ThreadPool pool(3);
   constexpr std::size_t kChunk = 16;
   std::atomic<int> calls{0};
@@ -226,8 +63,9 @@ TEST(ThreadPool, StealingChunkOptionBoundsEveryCall) {
   EXPECT_EQ(pool.last_range_stats().worker_busy_ns.size(), 3u);
 }
 
-TEST(ThreadPool, StealingSequentialFallbackRunsInlineInOrder) {
+TEST(ThreadPool, SequentialFallbackRunsInlineInOrder) {
   ThreadPool pool(1);
+  EXPECT_EQ(pool.thread_count(), 1u);
   const auto caller = std::this_thread::get_id();
   std::size_t expect_begin = 0;
   pool.for_range_stealing(
@@ -244,11 +82,11 @@ TEST(ThreadPool, StealingSequentialFallbackRunsInlineInOrder) {
   EXPECT_EQ(pool.last_range_stats().steals, 0u);  // one claimant never steals
 }
 
-TEST(ThreadPool, StealingRebalancesAroundAStraggler) {
+TEST(ThreadPool, RebalancesAroundAStraggler) {
   // Chunk 0 refuses to finish until every other chunk has run, so whichever
   // claimant drew it is pinned and its peer must drain the rest — at least
-  // three of those chunks belong to the pinned slot's static share, so the
-  // steal counter must see them.
+  // three of those chunks belong to the pinned slot's contiguous share, so
+  // the steal counter must see them.
   ThreadPool pool(2);
   std::atomic<int> others_done{0};
   std::vector<std::atomic<int>> hits(8);
@@ -268,7 +106,7 @@ TEST(ThreadPool, StealingRebalancesAroundAStraggler) {
   EXPECT_GE(pool.last_range_stats().steals, 3u);
 }
 
-TEST(ThreadPool, StealingEmptyRangeInvokesNothing) {
+TEST(ThreadPool, EmptyRangeInvokesNothing) {
   ThreadPool pool(4);
   std::atomic<int> calls{0};
   pool.for_range_stealing(0,
@@ -278,10 +116,9 @@ TEST(ThreadPool, StealingEmptyRangeInvokesNothing) {
   EXPECT_EQ(pool.last_range_stats().worker_busy_ns.size(), 4u);
 }
 
-TEST(ThreadPool, StealingExceptionPropagatesAndPoolSurvives) {
+TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives) {
   // The throwing chunk is a *stolen* one (not index 0), the thrower stops
-  // claiming, the range still drains, and the pool stays reusable for both
-  // flavors afterwards.
+  // claiming, the range still drains, and the pool stays reusable.
   ThreadPool pool(3);
   EXPECT_THROW(
       pool.for_range_stealing(
@@ -296,50 +133,111 @@ TEST(ThreadPool, StealingExceptionPropagatesAndPoolSurvives) {
                           [&](unsigned, std::size_t begin, std::size_t end) {
                             total.fetch_add(static_cast<int>(end - begin));
                           });
-  pool.for_range(100, [&](unsigned, std::size_t begin, std::size_t end) {
-    total.fetch_add(static_cast<int>(end - begin));
-  });
-  EXPECT_EQ(total.load(), 200);
+  EXPECT_EQ(total.load(), 100);
 }
 
-TEST(ThreadPool, PostFinishStealingCoversRangeExactlyOnce) {
+TEST(ThreadPool, ReusableAcrossManyJobs) {
+  ThreadPool pool(4);
+  std::atomic<long> sum{0};
+  for (int job = 0; job < 200; ++job)
+    pool.for_range_stealing(
+        64, [&](unsigned, std::size_t begin, std::size_t end) {
+          long local = 0;
+          for (std::size_t i = begin; i < end; ++i)
+            local += static_cast<long>(i);
+          sum.fetch_add(local);
+        });
+  EXPECT_EQ(sum.load(), 200L * (63 * 64 / 2));
+}
+
+// post_range_stealing/finish_range: the pipelining split of
+// for_range_stealing.  Workers may claim chunks during the overlap window;
+// the calling thread joins the claim loop inside finish_range; coverage is
+// identical to for_range_stealing's.
+TEST(ThreadPool, PostFinishCoversRangeExactlyOnce) {
   for (const unsigned threads : {1u, 2u, 4u}) {
     ThreadPool pool(threads);
     std::vector<std::atomic<int>> hits(500);
+    std::atomic<int> overlap_work{0};
     pool.post_range_stealing(hits.size(), [&](unsigned worker,
                                               std::size_t begin,
                                               std::size_t end) {
       EXPECT_LT(worker, threads);
       for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
     });
+    // The overlap window: the caller is free here while workers run.
+    overlap_work.store(42);
     pool.finish_range();
+    EXPECT_EQ(overlap_work.load(), 42);
     for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
     EXPECT_GE(pool.last_range_stats().chunks, 1u);
     EXPECT_EQ(pool.last_range_stats().worker_busy_ns.size(), threads);
   }
 }
 
-TEST(ThreadPool, PostFinishStealingExceptionPropagatesAtFinish) {
+TEST(ThreadPool, PostFinishSequentialDefersWholeRangeToFinish) {
+  ThreadPool pool(1);
+  const auto caller = std::this_thread::get_id();
+  std::size_t expect_begin = 0;
+  bool before_finish = true;
+  pool.post_range_stealing(
+      31,
+      [&](unsigned worker, std::size_t begin, std::size_t end) {
+        EXPECT_FALSE(before_finish);  // nothing may run before finish_range
+        EXPECT_EQ(worker, 0u);
+        EXPECT_EQ(begin, expect_begin);
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        expect_begin = end;
+      },
+      {.chunk = 8});
+  EXPECT_EQ(expect_begin, 0u);
+  before_finish = false;
+  pool.finish_range();
+  EXPECT_EQ(expect_begin, 31u);
+  EXPECT_EQ(pool.last_range_stats().chunks, 4u);
+}
+
+TEST(ThreadPool, PostFinishEmptyRangeAndReuse) {
+  ThreadPool pool(3);
+  std::atomic<int> calls{0};
+  pool.post_range_stealing(
+      0, [&](unsigned, std::size_t, std::size_t) { ++calls; });
+  pool.finish_range();
+  EXPECT_EQ(calls.load(), 0);
+  // Alternate post/finish with the blocking call on the same pool.
+  std::atomic<int> total{0};
+  pool.post_range_stealing(64,
+                           [&](unsigned, std::size_t begin, std::size_t end) {
+                             total.fetch_add(static_cast<int>(end - begin));
+                           });
+  pool.finish_range();
+  pool.for_range_stealing(36,
+                          [&](unsigned, std::size_t begin, std::size_t end) {
+                            total.fetch_add(static_cast<int>(end - begin));
+                          });
+  EXPECT_EQ(total.load(), 100);
+}
+
+TEST(ThreadPool, PostFinishExceptionPropagatesAtFinish) {
   ThreadPool pool(2);
   pool.post_range_stealing(10, [&](unsigned, std::size_t begin, std::size_t) {
     if (begin == 0) throw std::runtime_error("chunk 0");
   });
   EXPECT_THROW(pool.finish_range(), std::runtime_error);
   std::atomic<int> total{0};
-  pool.for_range(10, [&](unsigned, std::size_t begin, std::size_t end) {
-    total.fetch_add(static_cast<int>(end - begin));
-  });
+  pool.for_range_stealing(10,
+                          [&](unsigned, std::size_t begin, std::size_t end) {
+                            total.fetch_add(static_cast<int>(end - begin));
+                          });
   EXPECT_EQ(total.load(), 10);
 }
 
-TEST(ThreadPool, StealingDoublePostIsInvalidAcrossFlavors) {
+TEST(ThreadPool, DoublePostOrUnpairedUseIsInvalid) {
   ThreadPool pool(2);
   pool.post_range_stealing(4, [](unsigned, std::size_t, std::size_t) {});
   EXPECT_THROW(
       pool.post_range_stealing(4, [](unsigned, std::size_t, std::size_t) {}),
       std::logic_error);
-  EXPECT_THROW(pool.post_range(4, [](unsigned, std::size_t, std::size_t) {}),
-               std::logic_error);
   EXPECT_THROW(
       pool.for_range_stealing(4, [](unsigned, std::size_t, std::size_t) {}),
       std::logic_error);
@@ -347,18 +245,18 @@ TEST(ThreadPool, StealingDoublePostIsInvalidAcrossFlavors) {
   EXPECT_THROW(pool.finish_range(), std::logic_error);
 }
 
-TEST(ThreadPool, ChunkHomeMatchesStaticSlice) {
-  // chunk_home(c, chunks, threads) must name exactly the slot whose static
-  // slice of [0, chunks) contains c — it is the baseline steals are counted
-  // against.
+TEST(ThreadPool, ChunkHomeMatchesContiguousSplit) {
+  // chunk_home(c, chunks, threads) must name exactly the slot whose share of
+  // the contiguous split of [0, chunks) — slot w owns
+  // [chunks * w / threads, chunks * (w + 1) / threads) — contains c: it is
+  // the baseline steals are counted against.
   for (const unsigned threads : {1u, 2u, 3u, 5u, 8u}) {
     for (std::size_t chunks = 1; chunks <= 40; ++chunks) {
       for (std::size_t c = 0; c < chunks; ++c) {
         const unsigned home = ThreadPool::chunk_home(c, chunks, threads);
         ASSERT_LT(home, threads);
-        const auto [begin, end] = ThreadPool::slice(chunks, threads, home);
-        EXPECT_GE(c, begin);
-        EXPECT_LT(c, end);
+        EXPECT_GE(c, chunks * home / threads);
+        EXPECT_LT(c, chunks * (home + 1) / threads);
       }
     }
   }
@@ -368,7 +266,7 @@ TEST(ThreadPool, ChunkHomeMatchesStaticSlice) {
 // before every chunk claim; a claimed chunk always runs to completion.  The
 // job throws CancelledError iff the range was left uncovered and no chunk
 // threw a real exception — a real error always wins over a racing cancel.
-TEST(ThreadPool, StealingCancelStopsAtTheNextChunkBoundary) {
+TEST(ThreadPool, CancelStopsAtTheNextChunkBoundary) {
   ThreadPool pool(1);  // deterministic: chunks drain in index order
   CancelToken token;
   std::size_t calls = 0;
@@ -437,7 +335,7 @@ TEST(ThreadPool, RealExceptionWinsOverRacingCancellation) {
   }
 }
 
-TEST(ThreadPool, StealingCancelMultiThreadedIsConsistent) {
+TEST(ThreadPool, CancelMultiThreadedIsConsistent) {
   // With workers racing the cancel, either outcome is legal — the range
   // drained before the token was seen, or it was abandoned — but the stats,
   // the exception, and the executed count must agree.
@@ -469,7 +367,7 @@ TEST(ThreadPool, StealingCancelMultiThreadedIsConsistent) {
   EXPECT_EQ(total.load(), 64);
 }
 
-TEST(ThreadPool, PostFinishStealingCancelSurfacesAtFinish) {
+TEST(ThreadPool, PostFinishCancelSurfacesAtFinish) {
   ThreadPool pool(1);
   CancelToken token;
   token.cancel();  // pre-cancelled: no chunk may run at all
@@ -482,9 +380,10 @@ TEST(ThreadPool, PostFinishStealingCancelSurfacesAtFinish) {
   EXPECT_TRUE(pool.last_range_stats().cancelled);
   EXPECT_EQ(pool.last_range_stats().chunks, 0u);
   std::atomic<int> total{0};
-  pool.for_range(10, [&](unsigned, std::size_t begin, std::size_t end) {
-    total.fetch_add(static_cast<int>(end - begin));
-  });
+  pool.for_range_stealing(10,
+                          [&](unsigned, std::size_t begin, std::size_t end) {
+                            total.fetch_add(static_cast<int>(end - begin));
+                          });
   EXPECT_EQ(total.load(), 10);
 }
 
