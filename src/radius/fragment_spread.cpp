@@ -505,12 +505,8 @@ bool FragmentSpreadScheme::verify_ball(const RadiusContext& ctx) const {
   // Reconstruct the base certificates of the 1-hop neighborhood — each from
   // its *own* region's prefix — and run the base decoder.
   auto reconstruct = [&](std::size_t member_index) {
-    const util::BitString& prefix = prefix_of[group_of[member_index]];
-    const FragmentWire& p = *parsed[member_index];
-    util::BitWriter w;
-    w.write_bits(prefix.bytes(), prefix.bit_size());
-    w.write_bits(p.suffix.bytes(), p.suffix.bit_size());
-    return local::Certificate::from_writer(std::move(w));
+    return detail::concat_bits(prefix_of[group_of[member_index]],
+                               parsed[member_index]->suffix);
   };
   const local::Certificate own_cert = reconstruct(0);
   std::vector<local::Certificate>& neighbor_certs = scratch.neighbor_certs;

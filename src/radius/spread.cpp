@@ -231,20 +231,16 @@ bool SpreadScheme::verify_ball(const RadiusContext& ctx) const {
 
   // Reconstruct the base certificates of the 1-hop neighborhood and run the
   // base decoder on them.
-  auto reconstruct = [&](const SpreadWire& p) {
-    util::BitWriter w;
-    w.write_bits(prefix->bytes(), prefix->bit_size());
-    w.write_bits(p.suffix.bytes(), p.suffix.bit_size());
-    return local::Certificate::from_writer(std::move(w));
-  };
-  const local::Certificate own = reconstruct(*parsed.front());
+  const local::Certificate own =
+      detail::concat_bits(*prefix, parsed.front()->suffix);
   const std::span<const BallMember> layer1 = ball.layer(1);
   std::vector<local::Certificate>& neighbor_certs = scratch.neighbor_certs;
   neighbor_certs.clear();
   neighbor_certs.reserve(layer1.size());
   // Members are in BFS order: layer 1 starts at member index 1.
   for (std::size_t i = 0; i < layer1.size(); ++i)
-    neighbor_certs.push_back(reconstruct(*parsed[1 + i]));
+    neighbor_certs.push_back(
+        detail::concat_bits(*prefix, parsed[1 + i]->suffix));
 
   std::vector<local::NeighborView>& views = scratch.views;
   views.clear();

@@ -43,22 +43,14 @@ inline std::size_t lcp_bits(const util::BitString& a, const util::BitString& b) 
 
 /// Encoded size of a varint (8 bits per 7-bit payload group).
 inline std::size_t varint_bits(std::uint64_t value) {
-  return 8 * ((std::max<unsigned>(util::bit_width_for(value), 1) + 6) / 7);
+  return 8 * ((util::bit_width_for(value) + 6) / 7);
 }
 
 /// Reads exactly `nbits` bits; nullopt when the reader runs dry.
 inline std::optional<util::BitString> read_bits(util::BitReader& r,
                                                 std::size_t nbits) {
-  if (r.remaining() < nbits) return std::nullopt;
   util::BitWriter w;
-  std::size_t left = nbits;
-  while (left > 0) {
-    const unsigned take = static_cast<unsigned>(std::min<std::size_t>(left, 64));
-    const auto chunk = r.read_uint(take);
-    if (!chunk) return std::nullopt;
-    w.write_uint(*chunk, take);
-    left -= take;
-  }
+  if (!r.read_bits(w, nbits)) return std::nullopt;
   return util::BitString::from_writer(std::move(w));
 }
 
@@ -67,7 +59,17 @@ inline util::BitString slice_bits(const util::BitString& s, std::size_t from,
                                   std::size_t len) {
   PLS_ASSERT(from + len <= s.bit_size());
   util::BitWriter w;
-  for (std::size_t i = 0; i < len; ++i) w.write_bit(bit_at(s, from + i));
+  w.write_bits(s.data(), from, len);
+  return util::BitString::from_writer(std::move(w));
+}
+
+/// `a` followed by `b`, written into a buffer sized once for both.
+inline util::BitString concat_bits(const util::BitString& a,
+                                   const util::BitString& b) {
+  util::BitWriter w;
+  w.reserve(a.bit_size() + b.bit_size());
+  w.write_bits(a.data(), a.bit_size());
+  w.write_bits(b.data(), b.bit_size());
   return util::BitString::from_writer(std::move(w));
 }
 
@@ -78,16 +80,30 @@ inline std::size_t chunk_size(std::size_t total, std::size_t k, std::size_t j) {
 
 /// The marker's sharding step, shared by both spread markers and the splice
 /// suite: cuts X into k interleaved chunks, bit i of X going to chunk i%k.
-/// The exact inverse of reassemble_chunks below.
+/// The exact inverse of reassemble_chunks below.  Each chunk is a pre-sized
+/// buffer filled one output byte at a time.
 inline std::vector<util::BitString> shard_chunks(const util::BitString& x,
                                                  std::size_t k) {
-  std::vector<util::BitWriter> writers(k);
-  for (std::size_t i = 0; i < x.bit_size(); ++i)
-    writers[i % k].write_bit(bit_at(x, i));
   std::vector<util::BitString> chunks;
   chunks.reserve(k);
-  for (std::size_t j = 0; j < k; ++j)
-    chunks.push_back(util::BitString::from_writer(std::move(writers[j])));
+  if (k == 1) {
+    chunks.push_back(slice_bits(x, 0, x.bit_size()));
+    return chunks;
+  }
+  for (std::size_t j = 0; j < k; ++j) {
+    const std::size_t len = chunk_size(x.bit_size(), k, j);
+    std::vector<std::uint8_t> bytes((len + 7) / 8);
+    std::size_t src = j;  // bit q of chunk j is bit q*k + j of X
+    for (std::size_t b = 0; b < bytes.size(); ++b) {
+      const auto width =
+          static_cast<unsigned>(std::min<std::size_t>(8, len - 8 * b));
+      unsigned out = 0;
+      for (unsigned t = 0; t < width; ++t, src += k)
+        out |= static_cast<unsigned>(bit_at(x, src)) << t;
+      bytes[b] = static_cast<std::uint8_t>(out);
+    }
+    chunks.emplace_back(std::move(bytes), len);
+  }
   return chunks;
 }
 
@@ -95,7 +111,7 @@ inline std::vector<util::BitString> shard_chunks(const util::BitString& x,
 /// that the k chunk lengths interleave to a consistent total (nullopt
 /// otherwise — a splice of chunks from prefixes of different lengths) and
 /// stitches the prefix back together, bit i of X being bit i/k of chunk
-/// i%k.
+/// i%k.  The prefix is a pre-sized buffer filled one output byte at a time.
 inline std::optional<util::BitString> reassemble_chunks(
     std::span<const util::BitString* const> chunks) {
   const std::size_t k = chunks.size();
@@ -103,10 +119,24 @@ inline std::optional<util::BitString> reassemble_chunks(
   for (const util::BitString* c : chunks) total += c->bit_size();
   for (std::size_t j = 0; j < k; ++j)
     if (chunks[j]->bit_size() != chunk_size(total, k, j)) return std::nullopt;
-  util::BitWriter w;
-  for (std::size_t i = 0; i < total; ++i)
-    w.write_bit(bit_at(*chunks[i % k], i / k));
-  return util::BitString::from_writer(std::move(w));
+  if (k == 1) return slice_bits(*chunks[0], 0, total);
+  std::vector<std::uint8_t> bytes((total + 7) / 8);
+  std::size_t j = 0;  // bit i of X is bit q of chunk j = i % k, q = i / k
+  std::size_t q = 0;
+  for (std::size_t b = 0; b < bytes.size(); ++b) {
+    const auto width =
+        static_cast<unsigned>(std::min<std::size_t>(8, total - 8 * b));
+    unsigned out = 0;
+    for (unsigned t = 0; t < width; ++t) {
+      out |= static_cast<unsigned>(bit_at(*chunks[j], q)) << t;
+      if (++j == k) {
+        j = 0;
+        ++q;
+      }
+    }
+    bytes[b] = static_cast<std::uint8_t>(out);
+  }
+  return util::BitString(std::move(bytes), total);
 }
 
 /// One parsed spread certificate.

@@ -7,8 +7,16 @@
 // total: reads past the end fail softly by returning std::nullopt, because a
 // verifier must treat a malformed (adversarial) certificate as "reject", not
 // as a crash.
+//
+// Both sides move whole bytes, not single bits, and keep two invariants that
+// aliased wire frames and bit-exact equality rely on:
+//   * pad bits (the bits of the last byte past bit_size()) are always zero;
+//   * source bits past `nbits` (write_bits, read_bits) are never read into
+//     the output, and no byte beyond the one holding the last source bit is
+//     touched, so a source may alias a frame that ends mid-byte.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -35,7 +43,16 @@ class BitWriter {
   void write_bits(const std::vector<std::uint8_t>& bytes, std::size_t nbits);
 
   /// Same, from raw bit storage (BitString::data() layout).
-  void write_bits(const std::uint8_t* bytes, std::size_t nbits);
+  void write_bits(const std::uint8_t* bytes, std::size_t nbits) {
+    write_bits(bytes, 0, nbits);
+  }
+
+  /// Append bits [from, from + nbits) of raw bit storage.
+  void write_bits(const std::uint8_t* bytes, std::size_t from,
+                  std::size_t nbits);
+
+  /// Pre-size the buffer for `nbits` bits in total (no bits are written).
+  void reserve(std::size_t nbits) { bytes_.reserve((nbits + 7) / 8); }
 
   std::size_t bit_size() const noexcept { return nbits_; }
   const std::vector<std::uint8_t>& bytes() const noexcept { return bytes_; }
@@ -74,6 +91,10 @@ class BitReader {
 
   std::optional<bool> read_bit() noexcept;
 
+  /// Append the next `nbits` bits to `out`; false (failing closed, like
+  /// every read) if fewer remain.
+  bool read_bits(BitWriter& out, std::size_t nbits);
+
   /// LEB128-style varint; nullopt on truncation, on overlong encodings
   /// that would discard nonzero bits above bit 63, and on non-minimal
   /// encodings ending in a redundant zero group (canonical decoding).
@@ -97,6 +118,8 @@ class BitReader {
 
 /// Number of bits needed to represent `value` (0 -> 1, so every value has a
 /// nonzero fixed width when used as a field size).
-unsigned bit_width_for(std::uint64_t value) noexcept;
+constexpr unsigned bit_width_for(std::uint64_t value) noexcept {
+  return static_cast<unsigned>(std::bit_width(value | 1));
+}
 
 }  // namespace pls::util

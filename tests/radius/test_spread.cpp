@@ -11,6 +11,7 @@
 #include "schemes/registry.hpp"
 #include "schemes/spanning_tree.hpp"
 #include "testing/helpers.hpp"
+#include "util/rng.hpp"
 
 namespace pls::radius {
 namespace {
@@ -260,6 +261,137 @@ TEST(Spread, ProofSizeBoundCoversRegistryAtAllRadii) {
           << spread.name();
     }
   }
+}
+
+// --- spread_wire.hpp bulk helpers against per-bit references -------------
+//
+// The references spell each helper's contract one bit at a time, over
+// std::vector<bool>, so they share no code with the byte-at-a-time helpers.
+
+std::vector<bool> to_bits(const util::BitString& s) {
+  std::vector<bool> bits(s.bit_size());
+  for (std::size_t i = 0; i < bits.size(); ++i) bits[i] = detail::bit_at(s, i);
+  return bits;
+}
+
+// Owned, zero-padded storage for `bits`: the exact bytes a helper must emit.
+std::vector<std::uint8_t> bytes_of(const std::vector<bool>& bits) {
+  std::vector<std::uint8_t> bytes((bits.size() + 7) / 8);
+  for (std::size_t i = 0; i < bits.size(); ++i)
+    if (bits[i]) bytes[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+  return bytes;
+}
+
+// `nbits` random bits aliasing a buffer whose pad bits are random too, the
+// shape of a certificate read straight out of a wire frame.
+util::BitString random_aliased(util::Rng& rng, std::vector<std::uint8_t>& buf,
+                               std::size_t nbits) {
+  buf.resize((nbits + 7) / 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.bits());
+  return util::BitString::aliasing(buf.data(), nbits);
+}
+
+void expect_bits(const util::BitString& got, const std::vector<bool>& want) {
+  ASSERT_EQ(got.bit_size(), want.size());
+  EXPECT_EQ(got.bytes(), bytes_of(want));  // pad bits zero, too
+}
+
+TEST(SpreadWire, ShardReassembleRoundTripMatchesPerBitReference) {
+  util::Rng rng(2005);
+  std::vector<std::uint8_t> buf;
+  for (std::size_t k = 1; k <= 8; ++k)
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const util::BitString x = random_aliased(rng, buf, len);
+      const std::vector<bool> xbits = to_bits(x);
+      const std::vector<util::BitString> chunks = detail::shard_chunks(x, k);
+      ASSERT_EQ(chunks.size(), k);
+      std::vector<const util::BitString*> ptrs;
+      for (std::size_t j = 0; j < k; ++j) {
+        std::vector<bool> want;
+        for (std::size_t i = j; i < len; i += k) want.push_back(xbits[i]);
+        expect_bits(chunks[j], want);
+        ptrs.push_back(&chunks[j]);
+      }
+      const auto back = detail::reassemble_chunks(ptrs);
+      ASSERT_TRUE(back.has_value()) << "k " << k << " len " << len;
+      expect_bits(*back, xbits);
+
+      // The same from aliased chunks whose pad bits are all set.
+      std::vector<std::vector<std::uint8_t>> padded(k);
+      std::vector<util::BitString> aliased;
+      aliased.reserve(k);
+      for (std::size_t j = 0; j < k; ++j) {
+        padded[j] = chunks[j].bytes();
+        if (chunks[j].bit_size() % 8 != 0)
+          padded[j].back() |= static_cast<std::uint8_t>(
+              0xFFu << (chunks[j].bit_size() % 8));
+        aliased.push_back(util::BitString::aliasing(padded[j].data(),
+                                                    chunks[j].bit_size()));
+        ptrs[j] = &aliased[j];
+      }
+      const auto from_aliased = detail::reassemble_chunks(ptrs);
+      ASSERT_TRUE(from_aliased.has_value());
+      expect_bits(*from_aliased, xbits);
+    }
+}
+
+TEST(SpreadWire, ReassembleRejectsInconsistentInterleaveLengths) {
+  // Dropping the last bit of chunk j leaves a consistent interleave only
+  // when chunk j held X's last bit; every other cut must be rejected.
+  util::Rng rng(17);
+  std::vector<std::uint8_t> buf;
+  for (std::size_t k = 2; k <= 8; ++k)
+    for (std::size_t len = 1; len <= 60; ++len) {
+      const util::BitString x = random_aliased(rng, buf, len);
+      const std::vector<util::BitString> chunks = detail::shard_chunks(x, k);
+      for (std::size_t j = 0; j < k; ++j) {
+        if (chunks[j].empty()) continue;
+        const util::BitString cut =
+            detail::slice_bits(chunks[j], 0, chunks[j].bit_size() - 1);
+        std::vector<const util::BitString*> ptrs;
+        for (std::size_t i = 0; i < k; ++i)
+          ptrs.push_back(i == j ? &cut : &chunks[i]);
+        const auto back = detail::reassemble_chunks(ptrs);
+        if (j == (len - 1) % k) {
+          ASSERT_TRUE(back.has_value());
+          EXPECT_EQ(*back, x.prefix(len - 1));
+        } else {
+          EXPECT_EQ(back, std::nullopt) << "k " << k << " len " << len;
+        }
+      }
+    }
+}
+
+TEST(SpreadWire, SliceBitsMatchesPerBitReference) {
+  util::Rng rng(3);
+  std::vector<std::uint8_t> buf;
+  for (std::size_t len = 0; len <= 100; ++len) {
+    const util::BitString s = random_aliased(rng, buf, len);
+    const std::vector<bool> bits = to_bits(s);
+    for (std::size_t from = 0; from <= len; ++from) {
+      const std::size_t n = rng.below(len - from + 1);
+      expect_bits(detail::slice_bits(s, from, n),
+                  std::vector<bool>(bits.begin() + from,
+                                    bits.begin() + from + n));
+    }
+  }
+}
+
+TEST(SpreadWire, ReadBitsAtUnalignedOffsetsMatchesPerBitReference) {
+  util::Rng rng(5);
+  std::vector<std::uint8_t> buf;
+  for (std::size_t lead = 0; lead < 16; ++lead)
+    for (std::size_t n = 0; n <= 70; ++n) {
+      const util::BitString s = random_aliased(rng, buf, lead + n);
+      const std::vector<bool> bits = to_bits(s);
+      util::BitReader r = s.reader();
+      ASSERT_TRUE(r.read_uint(static_cast<unsigned>(lead)).has_value());
+      const auto got = detail::read_bits(r, n);
+      ASSERT_TRUE(got.has_value());
+      expect_bits(*got, std::vector<bool>(bits.begin() + lead, bits.end()));
+      EXPECT_TRUE(r.exhausted());
+      EXPECT_EQ(detail::read_bits(r, 1), std::nullopt);  // runs dry
+    }
 }
 
 }  // namespace

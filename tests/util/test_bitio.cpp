@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/rng.hpp"
+
 namespace pls::util {
 namespace {
 
@@ -256,6 +258,269 @@ TEST(BitIo, TruncatedVarintRestoresThePosition) {
   EXPECT_EQ(r.read_varint(), std::nullopt);
   EXPECT_TRUE(r.failed());
   EXPECT_EQ(r.position(), 8u);  // rewound to where the varint began
+}
+
+// --- Differential checks against a bit-at-a-time reference codec ---------
+//
+// RefWriter/RefReader move one bit per step, exactly as the codec did before
+// its byte-at-a-time kernels; they are the oracle the kernels must match
+// byte for byte, offset for offset, failure for failure.
+
+struct RefWriter {
+  std::vector<std::uint8_t> bytes;
+  std::size_t nbits = 0;
+
+  void put(bool bit) {
+    if (nbits / 8 == bytes.size()) bytes.push_back(0);
+    if (bit) bytes[nbits / 8] |= static_cast<std::uint8_t>(1u << (nbits % 8));
+    ++nbits;
+  }
+  void write_uint(std::uint64_t value, unsigned width) {
+    for (unsigned i = 0; i < width; ++i) put((value >> i) & 1u);
+  }
+  void write_varint(std::uint64_t value) {
+    do {
+      const std::uint64_t group = value & 0x7Fu;
+      value >>= 7;
+      write_uint(group, 7);
+      put(value != 0);
+    } while (value != 0);
+  }
+  void write_bits(const std::uint8_t* src, std::size_t from, std::size_t n) {
+    for (std::size_t i = from; i < from + n; ++i)
+      put((src[i / 8] >> (i % 8)) & 1u);
+  }
+};
+
+struct RefReader {
+  const std::uint8_t* data;
+  std::size_t nbits;
+  std::size_t pos = 0;
+  bool failed = false;
+
+  std::optional<std::uint64_t> read_uint(unsigned width) {
+    if (failed || width > 64 || nbits - pos < width) {
+      failed = true;
+      return std::nullopt;
+    }
+    std::uint64_t value = 0;
+    for (unsigned i = 0; i < width; ++i, ++pos)
+      if ((data[pos / 8] >> (pos % 8)) & 1u) value |= std::uint64_t{1} << i;
+    return value;
+  }
+  std::optional<std::uint64_t> read_varint() {
+    const std::size_t start = pos;
+    std::uint64_t value = 0;
+    for (unsigned shift = 0;; shift += 7) {
+      const auto group = read_uint(7);
+      const auto cont = read_uint(1);
+      if (!group || !cont || shift >= 64 ||
+          (shift > 57 && (*group >> (64 - shift)) != 0) ||
+          (*cont == 0 && shift > 0 && *group == 0)) {
+        pos = start;
+        failed = true;
+        return std::nullopt;
+      }
+      value |= *group << shift;
+      if (*cont == 0) return value;
+    }
+  }
+};
+
+// A source buffer of exactly the bytes that hold bits [0, from + nbits),
+// random throughout — so every bit past the range is as likely set as not,
+// and any read past the last byte is a heap over-read under ASan.
+std::vector<std::uint8_t> random_source(Rng& rng, std::size_t nbits) {
+  std::vector<std::uint8_t> src((nbits + 7) / 8);
+  for (auto& b : src) b = static_cast<std::uint8_t>(rng.bits());
+  return src;
+}
+
+std::uint64_t random_value(Rng& rng) {
+  // Spread over magnitudes: uniform bits, then a random-width mask.
+  const unsigned width = static_cast<unsigned>(rng.below(65));
+  const std::uint64_t v = rng.bits();
+  return width == 64 ? v : v & ((std::uint64_t{1} << width) - 1);
+}
+
+void expect_same(const BitWriter& w, const RefWriter& ref) {
+  ASSERT_EQ(w.bit_size(), ref.nbits);
+  ASSERT_EQ(w.bytes(), ref.bytes);
+}
+
+TEST(BitIoDifferential, RandomWriteSequencesMatchReference) {
+  Rng rng(20050717);
+  for (int trial = 0; trial < 200; ++trial) {
+    BitWriter w;
+    RefWriter ref;
+    const int ops = 1 + static_cast<int>(rng.below(40));
+    for (int op = 0; op < ops; ++op) {
+      switch (rng.below(4)) {
+        case 0: {
+          const unsigned width = static_cast<unsigned>(rng.below(65));
+          const std::uint64_t value = rng.bits();  // bits above width set too
+          w.write_uint(value, width);
+          ref.write_uint(value, width);
+          break;
+        }
+        case 1: {
+          const std::uint64_t value = random_value(rng);
+          w.write_varint(value);
+          ref.write_varint(value);
+          break;
+        }
+        case 2: {
+          const std::size_t n = rng.below(200);
+          const auto src = random_source(rng, n);
+          w.write_bits(src.data(), n);
+          ref.write_bits(src.data(), 0, n);
+          break;
+        }
+        default: {
+          const std::size_t from = rng.below(24);
+          const std::size_t n = rng.below(200);
+          const auto src = random_source(rng, from + n);
+          w.write_bits(src.data(), from, n);
+          ref.write_bits(src.data(), from, n);
+          break;
+        }
+      }
+      expect_same(w, ref);
+    }
+  }
+}
+
+TEST(BitIoDifferential, WriteBitsAtEveryOffsetIgnoresBitsPastTheEnd) {
+  for (unsigned lead = 0; lead < 8; ++lead)
+    for (std::size_t from = 0; from < 8; ++from)
+      for (std::size_t n = 0; n <= 80; ++n) {
+        // All-ones source: any source bit past from + n that leaks into the
+        // output (or into a pad bit) shows up as a byte mismatch.
+        const std::vector<std::uint8_t> src((from + n + 7) / 8, 0xFF);
+        BitWriter w;
+        RefWriter ref;
+        w.write_uint(0b1010101, lead);
+        ref.write_uint(0b1010101, lead);
+        w.write_bits(src.data(), from, n);
+        ref.write_bits(src.data(), from, n);
+        w.write_uint(0, 3);
+        ref.write_uint(0, 3);
+        expect_same(w, ref);
+      }
+}
+
+TEST(BitIoDifferential, ReadUintAtEveryOffsetAndWidth) {
+  Rng rng(42);
+  for (std::size_t offset = 0; offset < 16; ++offset)
+    for (unsigned width = 0; width <= 64; ++width) {
+      // The buffer ends with the last byte the read needs; its bits past
+      // offset + width are random and must not reach the value.
+      const auto buf = random_source(rng, offset + width);
+      const std::size_t nbits = offset + width;
+      BitReader r(buf.data(), nbits);
+      RefReader ref{buf.data(), nbits};
+      ASSERT_EQ(r.read_uint(static_cast<unsigned>(offset)),
+                ref.read_uint(static_cast<unsigned>(offset)));
+      ASSERT_EQ(r.read_uint(width), ref.read_uint(width))
+          << "offset " << offset << " width " << width;
+      EXPECT_TRUE(r.exhausted());
+      // One bit too many fails closed at the end of the buffer.
+      EXPECT_EQ(r.read_uint(1), std::nullopt);
+      EXPECT_TRUE(r.failed());
+      EXPECT_EQ(r.position(), nbits);
+    }
+}
+
+TEST(BitIoDifferential, ReadBitsAtEveryOffsetMatchesReference) {
+  Rng rng(7);
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t n = 0; n <= 80; ++n) {
+      const auto buf = random_source(rng, offset + n);
+      BitReader r(buf.data(), offset + n);
+      ASSERT_TRUE(r.read_uint(static_cast<unsigned>(offset)).has_value());
+      BitWriter out;
+      ASSERT_TRUE(r.read_bits(out, n));
+      EXPECT_TRUE(r.exhausted());
+      RefWriter ref;
+      ref.write_bits(buf.data(), offset, n);
+      expect_same(out, ref);
+      // Asking for more than remains fails closed and consumes nothing.
+      EXPECT_FALSE(r.read_bits(out, 1));
+      EXPECT_TRUE(r.failed());
+      EXPECT_EQ(r.position(), offset + n);
+      EXPECT_EQ(out.bit_size(), n);
+    }
+}
+
+TEST(BitIoDifferential, RandomVarintDecodesMatchReference) {
+  // Arbitrary bytes after an arbitrary lead: accepts, rejections, restored
+  // positions and the sticky flag all agree with the reference.
+  Rng rng(99);
+  for (int trial = 0; trial < 20000; ++trial) {
+    const std::size_t lead = rng.below(8);
+    const std::size_t nbits = lead + rng.below(90);
+    auto buf = random_source(rng, nbits);
+    // Bias toward long and canonical-looking runs: set continuation bits.
+    if (rng.below(2) == 0)
+      for (auto& b : buf) b |= 0x80;
+    BitReader r(buf.data(), nbits);
+    RefReader ref{buf.data(), nbits};
+    ASSERT_EQ(r.read_uint(static_cast<unsigned>(lead)),
+              ref.read_uint(static_cast<unsigned>(lead)));
+    for (int v = 0; v < 3; ++v) {
+      ASSERT_EQ(r.read_varint(), ref.read_varint());
+      ASSERT_EQ(r.position(), ref.pos);
+      ASSERT_EQ(r.failed(), ref.failed);
+    }
+  }
+}
+
+// A varint rejection consumes nothing and latches failed(), at every lead
+// offset.
+void expect_rejected_at_every_lead(const RefWriter& encoding,
+                                   std::size_t nbits_of_encoding) {
+  for (unsigned lead = 0; lead < 8; ++lead) {
+    RefWriter ref;
+    ref.write_uint(0x5A, lead);
+    ref.write_bits(encoding.bytes.data(), 0, nbits_of_encoding);
+    BitReader r(ref.bytes.data(), ref.nbits);
+    ASSERT_TRUE(r.read_uint(lead).has_value());
+    EXPECT_EQ(r.read_varint(), std::nullopt) << "lead " << lead;
+    EXPECT_TRUE(r.failed());
+    EXPECT_EQ(r.position(), lead);
+    EXPECT_EQ(r.read_uint(0), std::nullopt);  // sticky
+  }
+}
+
+TEST(BitIoDifferential, CanonicalVarintRejectionsRestoreThePosition) {
+  // Overlong: a tenth group holding a bit above bit 63, and an eleventh
+  // group.
+  RefWriter overlong;
+  for (int g = 0; g < 9; ++g) overlong.write_uint(0xFF, 8);
+  overlong.write_uint(0x02, 8);
+  expect_rejected_at_every_lead(overlong, overlong.nbits);
+  RefWriter eleven;
+  for (int g = 0; g < 10; ++g) eleven.write_uint(0x81, 8);
+  eleven.write_uint(0x01, 8);
+  expect_rejected_at_every_lead(eleven, eleven.nbits);
+
+  // Non-minimal: a zero final group after 1..9 groups.
+  for (int groups = 1; groups <= 9; ++groups) {
+    RefWriter w;
+    for (int g = 0; g < groups; ++g) w.write_uint(0x80 | (g == 0 ? 5 : 0), 8);
+    w.write_uint(0x00, 8);
+    expect_rejected_at_every_lead(w, w.nbits);
+  }
+
+  // Truncated at each bit of the last group, for encodings of 1..10 groups.
+  for (unsigned width : {1u, 7u, 8u, 14u, 15u, 30u, 50u, 63u, 64u}) {
+    const std::uint64_t value =
+        width == 64 ? std::uint64_t(-1) : (std::uint64_t{1} << width) - 1;
+    RefWriter w;
+    w.write_varint(value);
+    for (std::size_t cut = w.nbits - 8; cut < w.nbits; ++cut)
+      expect_rejected_at_every_lead(w, cut);
+  }
 }
 
 }  // namespace
