@@ -1,6 +1,9 @@
 // Experiment R2 — staged verification at scale.
 //
-// Five scenarios over the spanning-tree spread:
+// Five scenarios over the spanning-tree spread, one of them (4) over the
+// MST fragment spread instead — it gates what the steal scheduler buys a
+// sweep that reads every ball, and the spread's planned sweep
+// (radius::SweepPlan) decides most centers without theirs:
 //
 // 1. Single labeling: the reference engine (one ball at a time, every ball
 //    certificate re-parsed at every center) against BatchVerifier::run_one
@@ -40,8 +43,8 @@
 //    busy-time quantiles from the obs registry), then one labeling at a
 //    time to measure the busy imbalance — the median over sweeps of
 //    max/mean per-slot busy time — on it and on scenario 2's uniform random
-//    instance (verdicts asserted bit-identical across runs and thread
-//    counts), then drives an OPEN-LOOP phase: requests arrive on a fixed
+//    graph (MST configurations of both; verdicts asserted bit-identical
+//    across runs and thread counts), then drives an OPEN-LOOP phase: requests arrive on a fixed
 //    schedule (default 80% of the measured closed-loop throughput,
 //    --arrival-rate overrides) whether or not the previous one finished, so
 //    queueing delay lands in the next request's latency.  Reports sustained
@@ -128,7 +131,9 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "radius/batch.hpp"
+#include "radius/fragment_spread.hpp"
 #include "radius/spread.hpp"
+#include "schemes/mst.hpp"
 #include "schemes/spanning_tree.hpp"
 #include "util/assert.hpp"
 #include "util/thread_pool.hpp"
@@ -187,6 +192,15 @@ double time_ms(const std::function<core::Verdict()>& run,
 
 bool same_verdict(const core::Verdict& a, const core::Verdict& b) {
   return a.accept() == b.accept();
+}
+
+/// Builds every block of `g`'s radius-t geometry into `atlas`, center order.
+/// A full run of the spread does not: its planned sweep reads geometry only
+/// at ball-routed centers (radius::SweepPlan).
+void warm_geometry(radius::GeometryAtlas& atlas, const graph::Graph& g,
+                   unsigned t) {
+  for (graph::NodeIndex v = 0; v < g.n();)
+    v = atlas.block(g, t, v)->end_center();
 }
 
 Row measure(const core::Scheme& scheme, const local::Configuration& cfg,
@@ -428,7 +442,7 @@ IncrementalResult measure_incremental(const core::Scheme& scheme,
   options.metrics = &registry;
   radius::BatchVerifier full(scheme, cfg, t, options);
   radius::BatchVerifier delta(scheme, cfg, t, options);
-  full.run_one(stream.labs.front());  // warm the shared geometry
+  warm_geometry(*options.atlas, cfg.graph(), t);
   const radius::AtlasStats warm = options.atlas->stats();
 
   std::vector<core::Verdict> full_verdicts;
@@ -613,16 +627,8 @@ ServingResult measure_serving(const core::Scheme& scheme,
   // subject; here every run must sweep the same cached balls.
   auto skewed_atlas = std::make_shared<radius::GeometryAtlas>();
   auto uniform_atlas = std::make_shared<radius::GeometryAtlas>();
-  {
-    radius::BatchOptions warm;
-    warm.threads = threads;
-    warm.atlas = skewed_atlas;
-    radius::BatchVerifier(scheme, skewed_cfg, t, warm)
-        .run_one(skewed_labs[0]);
-    warm.atlas = uniform_atlas;
-    radius::BatchVerifier(scheme, uniform_cfg, t, warm)
-        .run_one(uniform_labs[0]);
-  }
+  warm_geometry(*skewed_atlas, skewed_cfg.graph(), t);
+  warm_geometry(*uniform_atlas, uniform_cfg.graph(), t);
 
   std::vector<core::Verdict> closed_v;
   {
@@ -796,10 +802,10 @@ AdmissionResult measure_admission(const core::Scheme& scheme,
   r.threads = threads;
   r.zipf_s = zipf_s;
 
-  // Ground truth on an unconstrained atlas: the seeding full run builds
-  // every block, so its residency is the total geometry footprint the
-  // budget then squeezes.
+  // Ground truth on an unconstrained atlas holding every block, so its
+  // residency is the total geometry footprint the budget then squeezes.
   auto full_atlas = std::make_shared<radius::GeometryAtlas>();
+  warm_geometry(*full_atlas, cfg.graph(), t);
   std::vector<core::Verdict> truth;
   {
     radius::BatchOptions options;
@@ -842,9 +848,10 @@ AdmissionResult measure_admission(const core::Scheme& scheme,
     radius::BatchVerifier verifier(scheme, cfg, t, options);
     std::vector<core::Verdict> verdicts;
     verdicts.reserve(stream.labs.size());
-    // The seeding full sweep is a cyclic scan both policies survive the
-    // same way (bypass); its lookups would dilute the A/B, so the reported
-    // stats cover the delta phase only (snapshot diff).
+    // The seeding scan over every block is a cyclic scan both policies
+    // survive the same way (bypass); its lookups would dilute the A/B, so
+    // the reported stats cover the delta phase only (snapshot diff).
+    warm_geometry(*options.atlas, cfg.graph(), t);
     verdicts.push_back(verifier.run_one(stream.labs.front()));
     const radius::AtlasStats warm = options.atlas->stats();
     radius::LabelingDelta delta;
@@ -1240,15 +1247,25 @@ int main(int argc, char** argv) {
   // contiguous split demonstrably starves cores — a dense chorded-ring core
   // on the low sixteenth of the index space (fat radius-t balls) plus sparse
   // chains over the rest — so its per-sweep busy imbalance pins the
-  // scheduler's balance, the uniform instance (scenario 2's random one,
-  // same labelings) pins it where there is no skew to fix, and the
-  // open-loop phase reports what a deployment quotes: sustained
-  // labelings/sec and p50/p99 latency at a fixed offered rate.  Verdict
-  // identity across runs and thread counts is asserted inside
-  // measure_serving.
+  // scheduler's balance, the uniform instance (scenario 2's random graph)
+  // pins it where there is no skew to fix, and the open-loop phase reports
+  // what a deployment quotes: sustained labelings/sec and p50/p99 latency
+  // at a fixed offered rate.  Verdict identity across runs and thread
+  // counts is asserted inside measure_serving.  The scenario gates what the
+  // steal scheduler buys a sweep that reads every center's ball; the
+  // spread's planned sweep decides most centers from distance fields
+  // instead (radius::SweepPlan), so it runs the MST fragment spread, which
+  // plans nothing, over MST configurations of both graphs (distinct random
+  // edge weights).
   ServingResult serving;
   obs::MetricsRegistry serving_registry;
   {
+    const schemes::MstLanguage mst_language;
+    const schemes::MstScheme mst(mst_language);
+    const radius::FragmentSpreadScheme serving_fragment(mst, batch_t);
+    const core::Scheme& serving_scheme =
+        batch_t == 1 ? static_cast<const core::Scheme&>(mst)
+                     : static_cast<const core::Scheme&>(serving_fragment);
     const std::size_t serving_core = n / 16;
     const std::size_t serving_chains = 32;
     const std::size_t chain_len = (n - serving_core) / serving_chains;
@@ -1256,14 +1273,22 @@ int main(int argc, char** argv) {
     graph::Graph skewed_base =
         skewed_core_chain_graph(serving_core, serving_chains, chain_len);
     auto skewed_g = std::make_shared<const graph::Graph>(
-        graph::relabel_random(skewed_base, serving_rng, kIdSpace));
+        graph::reweight_random(
+            graph::relabel_random(skewed_base, serving_rng, kIdSpace),
+            serving_rng));
     const local::Configuration skewed_cfg =
-        language.sample_legal(skewed_g, serving_rng);
+        mst_language.sample_legal(skewed_g, serving_rng);
     const std::vector<core::Labeling> skewed_labs = candidate_labelings(
-        batch_scheme, skewed_cfg, labeling_count, serving_rng);
-    serving = measure_serving(batch_scheme, skewed_cfg, serving_core, cfg,
-                              batch_t, threads, skewed_labs, labs,
-                              arrival_rate, serving_registry);
+        serving_scheme, skewed_cfg, labeling_count, serving_rng);
+    const local::Configuration uniform_cfg = mst_language.sample_legal(
+        std::make_shared<const graph::Graph>(
+            graph::reweight_random(*g, serving_rng)),
+        serving_rng);
+    const std::vector<core::Labeling> uniform_labs = candidate_labelings(
+        serving_scheme, uniform_cfg, labeling_count, serving_rng);
+    serving = measure_serving(serving_scheme, skewed_cfg, serving_core,
+                              uniform_cfg, batch_t, threads, skewed_labs,
+                              uniform_labs, arrival_rate, serving_registry);
     std::cerr << "serving n=" << serving.n << " core=" << serving.core
               << " t=" << serving.t << " labelings=" << serving.labelings
               << " threads=" << serving.threads

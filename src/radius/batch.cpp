@@ -39,6 +39,10 @@ BatchVerifier::BatchVerifier(const core::Scheme& scheme,
     metrics_.sweep_chunks = &m.counter("verify.sweep_chunks");
     metrics_.sweep_steals = &m.counter("verify.sweep_steals");
     metrics_.worker_busy = &m.histogram("verify.worker_busy_ns");
+    metrics_.plan = &m.histogram("verify.plan_ns");
+    metrics_.route_reject = &m.counter("verify.route_reject");
+    metrics_.route_base = &m.counter("verify.route_base");
+    metrics_.route_ball = &m.counter("verify.route_ball");
   }
 }
 
@@ -51,9 +55,28 @@ void BatchVerifier::record_sweep_stats() {
     metrics_.worker_busy->record(busy);
 }
 
+void BatchVerifier::record_routes(const ParsedLabeling& parsed) {
+  if (metrics_.route_ball == nullptr) return;  // no registry supplied
+  const std::size_t n = cfg_.n();
+  if (!parsed.planned) {
+    // Unplanned: every center runs its scheme's own decoder — the ball for
+    // a ball scheme, the 1-round routine for a plain one.
+    (ball_scheme_ != nullptr ? metrics_.route_ball : metrics_.route_base)
+        ->add(n);
+    return;
+  }
+  std::uint64_t count[3] = {0, 0, 0};
+  for (const SweepRoute r : parsed.plan.route)
+    ++count[static_cast<std::size_t>(r)];
+  metrics_.route_reject->add(count[0]);
+  metrics_.route_base->add(count[1]);
+  metrics_.route_ball->add(count[2]);
+}
+
 void BatchVerifier::parse_link(const core::Labeling& labeling,
                                ParsedLabeling& out, bool parallel) {
   const std::size_t n = cfg_.n();
+  out.planned = false;
   out.pins.clear();  // the half's previous labeling is gone either way
   out.storage.clear();
   out.storage.resize(n);
@@ -81,11 +104,16 @@ void BatchVerifier::parse_link(const core::Labeling& labeling,
   } else {
     ball_scheme_->link_parses(out.storage);
   }
+  // Sweep plan: the linked parses route each center of the full sweep
+  // (reject / base decoder / ball); single-threaded like the link.
+  PLS_TRACE_SPAN("sweep.plan", n);
+  obs::ScopedTimer plan_timer(metrics_.plan);
+  out.planned = ball_scheme_->plan_sweep(cfg_, out.view, out.plan);
 }
 
 util::ThreadPool::RangeFn BatchVerifier::sweep_fn(
     const core::Labeling& labeling, const ParsedLabeling& parsed,
-    std::span<const graph::NodeIndex> centers,
+    const SweepPlan* plan, std::span<const graph::NodeIndex> centers,
     std::vector<std::uint8_t>& accept) {
   // Empty `centers` = the identity map over [0, n) (the full sweep); a
   // non-empty SORTED list re-sweeps exactly those centers (the delta
@@ -116,7 +144,7 @@ util::ThreadPool::RangeFn BatchVerifier::sweep_fn(
           : std::span<const ParsedCert* const>();
   const unsigned radius = ball_scheme_->radius();
   const local::Visibility mode = scheme_.visibility();
-  return [this, &labeling, &accept, center_of, cache, radius, mode](
+  return [this, &labeling, &accept, center_of, cache, radius, mode, plan](
              unsigned worker, std::size_t begin, std::size_t end) {
     PLS_TRACE_SPAN("sweep.slot", worker);
     const graph::Graph& g = cfg_.graph();
@@ -126,6 +154,20 @@ util::ThreadPool::RangeFn BatchVerifier::sweep_fn(
     std::shared_ptr<const GeometryBlock> block;
     for (std::size_t i = begin; i < end; ++i) {
       const graph::NodeIndex v = center_of(i);
+      if (plan != nullptr) {
+        const SweepRoute route = plan->route[v];
+        if (route == SweepRoute::kReject) {
+          accept[v] = 0;
+          continue;
+        }
+        if (route == SweepRoute::kBase) {
+          // Graph forbids parallel edges and self-loops, so these 1-hop
+          // views are exactly the ones verify_ball's layer-1 bridge builds.
+          accept[v] = core::detail::verify_one_round_at(
+              *plan->base, cfg_, plan->base_certs, v, slot.views);
+          continue;
+        }
+      }
       if (block == nullptr || !block->covers(v))
         block = atlas_->block(g, radius, v);
       slot.view.bind(block->ball(v, radius), cfg_, labeling, mode);
@@ -144,8 +186,11 @@ void BatchVerifier::post_sweep(const core::Labeling& labeling,
   // The token rides into the claim loop: an expired request abandons its
   // sweep at the next chunk boundary instead of finishing a labeling nobody
   // is waiting for.
-  pool_->post_range_stealing(n, sweep_fn(labeling, parsed, {}, accept),
-                             util::RangeOptions{.cancel = cancel_});
+  pool_->post_range_stealing(
+      n,
+      sweep_fn(labeling, parsed, parsed.planned ? &parsed.plan : nullptr, {},
+               accept),
+      util::RangeOptions{.cancel = cancel_});
 }
 
 void BatchVerifier::sweep_dirty(const core::Labeling& labeling,
@@ -155,7 +200,7 @@ void BatchVerifier::sweep_dirty(const core::Labeling& labeling,
   PLS_ASSERT(accept.size() == cfg_.n());
   if (dirty.empty()) return;
   pool_->for_range_stealing(dirty.size(),
-                            sweep_fn(labeling, parsed, dirty, accept),
+                            sweep_fn(labeling, parsed, nullptr, dirty, accept),
                             util::RangeOptions{.cancel = cancel_});
   record_sweep_stats();
 }
@@ -212,35 +257,47 @@ std::vector<core::Verdict> BatchVerifier::run(
     if (cancel_ != nullptr && cancel_->cancelled())
       throw util::CancelledError();
     // verify.e2e_ns: one labeling's wall contribution to the batch — the
-    // sweep window (including the overlapped stage-2 work of labeling i+1
-    // on the calling thread) plus verdict materialization.
+    // sweep window, stage 2 of labeling i+1 (overlapped with that window or
+    // after it), and verdict materialization.
     obs::ScopedTimer e2e_timer(metrics_.e2e);
     {
       // The "sweep.window" span brackets post..finish on the calling
-      // thread, so in a trace it structurally contains the "parse.link"
-      // span of labeling i+1 — the pipelining overlap made visible.
+      // thread plus stage 2 of labeling i+1, so in a trace it structurally
+      // contains the "parse.link" span of labeling i+1.
       PLS_TRACE_SPAN("sweep.window", i);
-      obs::ScopedTimer sweep_timer(metrics_.sweep);
-      post_sweep(labelings[i], parsed_[i % 2], accept_[i % 2]);
-      // Overlap window: the workers are sweeping labeling i (with threads =
-      // 1 the sweep is merely deferred — strictly sequential, same
-      // verdicts).  A stage-2 throw must not unwind past the posted sweep:
-      // the workers are writing into this object's buffers under the
-      // caller's feet, so quiesce them first.
-      if (cached && i + 1 < labelings.size()) {
-        try {
-          PLS_TRACE_SPAN("parse.link", i + 1);
-          obs::ScopedTimer parse_timer(metrics_.parse);
-          parse_link(labelings[i + 1], parsed_[(i + 1) % 2],
-                     /*parallel=*/false);
-          install_pin(i + 1);
-        } catch (...) {
-          pool_->finish_range();
-          throw;
+      const auto stage2_next = [&](bool parallel) {
+        PLS_TRACE_SPAN("parse.link", i + 1);
+        obs::ScopedTimer parse_timer(metrics_.parse);
+        parse_link(labelings[i + 1], parsed_[(i + 1) % 2], parallel);
+        install_pin(i + 1);
+      };
+      const bool next = cached && i + 1 < labelings.size();
+      // Stage 2 of labeling i+1 overlaps the sweep of labeling i only when
+      // that sweep reads balls.  A planned sweep is shorter than stage 2
+      // on one thread, so it finishes first and stage 2 then takes the
+      // whole pool, exactly as run_one would.
+      const bool overlap = next && !parsed_[i % 2].planned;
+      {
+        obs::ScopedTimer sweep_timer(metrics_.sweep);
+        post_sweep(labelings[i], parsed_[i % 2], accept_[i % 2]);
+        // Overlap window: the workers are sweeping labeling i (with
+        // threads = 1 the sweep is merely deferred — strictly sequential,
+        // same verdicts).  A stage-2 throw must not unwind past the posted
+        // sweep: the workers are writing into this object's buffers under
+        // the caller's feet, so quiesce them first.
+        if (overlap) {
+          try {
+            stage2_next(/*parallel=*/false);
+          } catch (...) {
+            pool_->finish_range();
+            throw;
+          }
         }
+        pool_->finish_range();
       }
-      pool_->finish_range();
       record_sweep_stats();
+      record_routes(parsed_[i % 2]);
+      if (next && !overlap) stage2_next(/*parallel=*/true);
     }
 
     std::vector<bool> bits(n);
@@ -312,6 +369,7 @@ core::Verdict BatchVerifier::run_delta(const core::Labeling& next,
     obs::ScopedTimer parse_timer(metrics_.delta_parse);
     ParsedLabeling& parsed = parsed_[resident_];
     PLS_ASSERT(parsed.storage.size() == n);
+    parsed.planned = false;  // the plan describes the previous labeling
     for (const graph::NodeIndex v : delta.touched) {
       parsed.storage[v] = ball_scheme_->parse_cert(next.certs[v]);
       parsed.view[v] = parsed.storage[v].get();

@@ -9,11 +9,19 @@
 //   2. PARSE/LINK — labeling-dependent, center-independent: each node's
 //                  certificate parsed exactly once per labeling
 //                  (BallScheme::parse_cert), then the single-threaded link
-//                  phase interns repeated payloads (link_parses).
-//   3. SWEEP     — per-center verify_ball over geometry bound to the
-//                  labeling, fanned out over util::ThreadPool's
-//                  work-stealing chunked split (skewed ball sizes
-//                  rebalance across slots).
+//                  phase interns repeated payloads (link_parses), then the
+//                  scheme may plan the sweep (BallScheme::plan_sweep): one
+//                  route per center from distance fields, bounded
+//                  multi-source BFS answering each ball-wide check for all
+//                  centers at once.
+//   3. SWEEP     — per center, by its route: REJECT (the plan proved it),
+//                  BASE (the 1-hop base decoder over the plan's
+//                  reconstructed certificates — no ball), or BALL
+//                  (verify_ball over geometry bound to the labeling; every
+//                  center of an unplanned scheme).  Fanned out over
+//                  util::ThreadPool's work-stealing chunked split (skewed
+//                  ball sizes rebalance across slots).  Routing changes cost
+//                  only: each route yields verify_ball's verdict.
 //
 // BatchVerifier pins one (scheme, configuration, t) and verifies any number
 // of labelings against it.  For a batch, the stages overlap: while the pool
@@ -23,9 +31,11 @@
 // bit-identical to per-labeling runs at every thread count — parse results
 // are per-node and scheduling-independent, the link phase is deterministic,
 // and each verdict depends only on its own labeling's stage-2 output — so
-// the overlap is a pure wall-clock win.  threads = 1 degenerates to the
-// strictly sequential parse -> link -> sweep per labeling, spawning no
-// threads.
+// the overlap is a pure wall-clock win.  A planned sweep (mostly reject and
+// base routes) is shorter than stage 2 on one thread, so after one the
+// stages run in turn instead — sweep, then the next stage 2 over the whole
+// pool, as run_one does.  threads = 1 degenerates to the strictly
+// sequential parse -> link -> sweep per labeling, spawning no threads.
 //
 // On top of the batch, the verifier is *delta-aware*: run_delta verifies a
 // labeling that differs from the previously verified one at a declared set
@@ -40,8 +50,9 @@
 // fresh ones — falling back to a full link_parses for schemes without the
 // hook; (c) resolves the dirty-center set through the reverse-ball index
 // (DirtyIndex, delta.hpp — ball symmetry served by the geometry atlas) and
-// sweeps only those over the pool, splicing carried-forward verdicts for
-// the clean centers.  Verdicts are bit-identical to a from-scratch run at
+// sweeps only those over the pool, by the ball route (the delta path never
+// reads a sweep plan), splicing carried-forward verdicts for the clean
+// centers.  Verdicts are bit-identical to a from-scratch run at
 // every thread count; DeltaStats is the observable proof that an empty
 // delta does no stage work at all.  pls::core::attack feeds its hill-climb
 // steps through this path.
@@ -181,6 +192,10 @@ class BatchVerifier {
     std::vector<std::unique_ptr<ParsedCert>> storage;
     std::vector<const ParsedCert*> view;
     std::vector<BufferPin> pins;
+    /// The full sweep's routing (BallScheme::plan_sweep), valid while
+    /// `planned`; run_delta clears the flag, the delta path never reads it.
+    SweepPlan plan;
+    bool planned = false;
   };
 
   void parse_link(const core::Labeling& labeling, ParsedLabeling& out,
@@ -188,15 +203,17 @@ class BatchVerifier {
   /// The one stage-3 per-center verify body, shared by the full sweep and
   /// the dirty re-sweep: slot i of the returned range job verifies center
   /// centers[i] (or center i itself when `centers` is empty — the full
-  /// sweep) and writes accept[center].  The captured references must
-  /// outlive the job's execution.
+  /// sweep) and writes accept[center].  A non-null `plan` routes each
+  /// center (reject / base decoder / ball); null sends all to the ball.
+  /// The captured references must outlive the job's execution.
   util::ThreadPool::RangeFn sweep_fn(const core::Labeling& labeling,
                                      const ParsedLabeling& parsed,
+                                     const SweepPlan* plan,
                                      std::span<const graph::NodeIndex> centers,
                                      std::vector<std::uint8_t>& accept);
   /// Posts the stage-3 sweep of `labeling` over the pool and returns; the
-  /// caller overlaps stage 2 of the next labeling, then calls
-  /// pool_->finish_range().
+  /// caller may overlap stage 2 of the next labeling (unplanned sweeps
+  /// only), then calls pool_->finish_range().
   void post_sweep(const core::Labeling& labeling, const ParsedLabeling& parsed,
                   std::vector<std::uint8_t>& accept);
   /// Stage 3 of the delta path: re-verifies exactly `dirty` (sorted center
@@ -210,6 +227,9 @@ class BatchVerifier {
   /// per-slot busy time) to the metrics sinks; no-op with no registry.
   /// Call after finish_range()/for_range_stealing returns.
   void record_sweep_stats();
+  /// Adds one full sweep's centers to the verify.route_* counters; no-op
+  /// with no registry.
+  void record_routes(const ParsedLabeling& parsed);
 
   const core::Scheme& scheme_;
   const BallScheme* ball_scheme_;  // nullptr for plain 1-round schemes
@@ -263,6 +283,10 @@ class BatchVerifier {
     obs::Counter* sweep_chunks = nullptr;     ///< verify.sweep_chunks
     obs::Counter* sweep_steals = nullptr;     ///< verify.sweep_steals
     obs::Histogram* worker_busy = nullptr;    ///< verify.worker_busy_ns
+    obs::Histogram* plan = nullptr;           ///< verify.plan_ns
+    obs::Counter* route_reject = nullptr;     ///< verify.route_reject
+    obs::Counter* route_base = nullptr;       ///< verify.route_base
+    obs::Counter* route_ball = nullptr;       ///< verify.route_ball
   };
   StageMetrics metrics_;
 };

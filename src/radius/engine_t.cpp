@@ -42,6 +42,12 @@ void BallScheme::relink_parses(LinkState&,
       __FILE__, __LINE__);
 }
 
+bool BallScheme::plan_sweep(const local::Configuration&,
+                            std::span<const ParsedCert* const>,
+                            SweepPlan&) const {
+  return false;
+}
+
 std::vector<SchemeAttack> BallScheme::adversarial_labelings(
     const local::Configuration&, util::Rng&) const {
   return {};

@@ -11,7 +11,10 @@
 //     information the decoder does not read), and at t = 1 the verdict is
 //     bit-for-bit what run_verifier produces — same per-node routine;
 //   * BallScheme implementations declare a radius and receive the full
-//     RadiusContext;
+//     RadiusContext; a scheme that can answer its ball-wide checks for all
+//     centers at once may also plan the sweep (SweepPlan): each center is
+//     then rejected outright, decided by the 1-hop base decoder, or sent to
+//     verify_ball;
 //   * verification_round_bits_t accounts the message volume of t flooding
 //     rounds (round r forwards what was learned in round r-1), reducing to
 //     verification_round_bits at t = 1.
@@ -62,6 +65,34 @@ class LinkState {
 
  protected:
   LinkState() = default;
+};
+
+/// How the full sweep decides one center (SweepPlan::route).
+enum class SweepRoute : std::uint8_t {
+  kReject,  ///< the plan proved the center rejects; no decoder runs
+  kBase,    ///< the 1-hop base decoder over SweepPlan::base_certs
+  kBall,    ///< the scheme's own verify_ball over the center's ball
+};
+
+/// A per-labeling routing of the full sweep, filled in stage 2 by
+/// BallScheme::plan_sweep.  A KKP05 verifier is a conjunction of local
+/// predicates, so a radius-t center can reject only because of a fault
+/// within distance t; a scheme that can answer its ball-wide checks for all
+/// centers at once (bounded multi-source BFS) routes most centers around
+/// their balls.  Routing changes cost only: every route yields exactly the
+/// verdict verify_ball would.
+struct SweepPlan {
+  /// One route per center.
+  std::vector<SweepRoute> route;
+  /// The 1-round scheme the kBase route runs (core::detail::
+  /// verify_one_round_at); null when no center takes that route.
+  const core::Scheme* base = nullptr;
+  /// The base certificates kBase centers and their neighbors decode.
+  /// Entries no kBase center reads may be empty.
+  core::Labeling base_certs;
+  /// Storage the base certificates may alias (one buffer per plan instead
+  /// of one allocation per certificate).
+  std::vector<std::uint8_t> base_bytes;
 };
 
 /// A scheme whose decoder reads a radius-t ball instead of the 1-hop view.
@@ -124,6 +155,16 @@ class BallScheme : public core::Scheme {
   virtual void relink_parses(LinkState& state,
                              std::span<const std::unique_ptr<ParsedCert>> parsed,
                              std::span<const graph::NodeIndex> touched) const;
+
+  /// Sweep-plan hook (stage 2, after the link phase): routes every center of
+  /// the full sweep over `parsed` (the linked parse cache, one entry per
+  /// node of cfg) into `out`, reusing its capacity.  Returns false — the
+  /// default — when the scheme plans nothing; every center then takes
+  /// verify_ball.  Only called for schemes with a cert parser.  Runs on one
+  /// thread; the sweep workers read the plan afterwards.
+  virtual bool plan_sweep(const local::Configuration& cfg,
+                          std::span<const ParsedCert* const> parsed,
+                          SweepPlan& out) const;
 
   /// Scheme-aware adversarial labelings for the attack suite: labelings
   /// that target the scheme's own structural invariants, beyond what the

@@ -1,6 +1,7 @@
 #include "radius/spread.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <unordered_map>
 
@@ -45,6 +46,89 @@ struct VerifyScratch {
 
 constexpr std::uint32_t kNoMember = std::numeric_limits<std::uint32_t>::max();
 
+/// Hop count of a node beyond a bounded BFS's radius (radius() <= 63).
+constexpr std::uint8_t kFar = std::numeric_limits<std::uint8_t>::max();
+
+/// Level-synchronous BFS bounded at `t` hops.  `frontier` holds the sources,
+/// already marked; `mark(v, d)` marks v at hop count d and returns true iff
+/// v was unmarked.  The marks are the visited set, so a field costs what it
+/// visits, not O(n).
+template <typename Mark>
+void flood(const graph::Graph& g, unsigned t,
+           std::vector<graph::NodeIndex>& frontier,
+           std::vector<graph::NodeIndex>& next, Mark mark) {
+  for (unsigned d = 1; d <= t && !frontier.empty(); ++d) {
+    next.clear();
+    for (const graph::NodeIndex u : frontier)
+      for (const graph::AdjEntry& a : g.adjacency(u))
+        if (mark(a.to, d)) next.push_back(a.to);
+    frontier.swap(next);
+  }
+}
+
+/// The fields of all residues at once: bit j of near[v] ends up set iff v
+/// lies within `t` of a node whose seeded bits (in near, on entry) hold j.
+/// `frontier` holds the seeded nodes, `gain` their seeded bits; each round
+/// expands only the bits a node gained in the previous one, so this is one
+/// BFS per bit sharing its passes.  The inner loop appends without a branch
+/// (whether a neighbor gains bits is data-dependent and mispredicts), so
+/// both frontiers are sized n + 1 up front.  Leaves `gain` and `gain_next`
+/// zero.
+void flood_bits(const graph::Graph& g, unsigned t,
+                std::vector<std::uint64_t>& near,
+                std::vector<std::uint64_t>& gain,
+                std::vector<std::uint64_t>& gain_next,
+                std::vector<graph::NodeIndex>& frontier,
+                std::vector<graph::NodeIndex>& next) {
+  std::size_t count = frontier.size();
+  frontier.resize(g.n() + 1);
+  next.resize(g.n() + 1);
+  for (unsigned d = 1; d <= t && count > 0; ++d) {
+    std::size_t next_count = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      const graph::NodeIndex v = frontier[i];
+      const std::uint64_t bits = gain[v];
+      gain[v] = 0;
+      for (const graph::AdjEntry& a : g.adjacency(v)) {
+        const std::uint64_t add = bits & ~near[a.to];
+        const std::uint64_t pending = gain_next[a.to];
+        next[next_count] = a.to;
+        next_count += static_cast<std::size_t>((pending == 0) & (add != 0));
+        near[a.to] |= add;
+        gain_next[a.to] = pending | add;
+      }
+    }
+    gain.swap(gain_next);
+    frontier.swap(next);
+    count = next_count;
+  }
+  for (std::size_t i = 0; i < count; ++i) gain[frontier[i]] = 0;
+}
+
+/// Per-thread scratch of plan_sweep (stage 2 runs it on the verifier's
+/// calling thread), reused across labelings like VerifyScratch.
+struct PlanScratch {
+  std::vector<std::uint8_t> native;      ///< well-formed with k == K
+  std::vector<std::uint8_t> near;        ///< kNearBad, kNearGood, ... bits
+  std::vector<std::uint64_t> near_maj;   ///< bit j: D_maj_j <= t
+  std::vector<std::uint64_t> near_anom;  ///< bit j: D_anom_j <= t
+  std::vector<std::uint64_t> gain, gain_next;  ///< flood_bits scratch
+  std::vector<std::uint8_t> edge_dist;   ///< D_edge, exact up to t
+  std::vector<std::uint32_t> by_residue; ///< native nodes, bucketed by residue
+  std::vector<std::uint32_t> bucket_end;
+  std::vector<std::uint32_t> class_count;
+  std::vector<std::uint32_t> majority;   ///< per residue: M_j
+  std::vector<graph::NodeIndex> frontier, next;
+  std::vector<std::pair<graph::NodeIndex, graph::NodeIndex>> bad_edges;
+  std::vector<graph::NodeIndex> pending;  ///< centers at D_edge == t
+  std::vector<std::uint64_t> near_u, near_v;  ///< exact edge test fields
+  std::vector<const util::BitString*> chunk_of;
+};
+
+constexpr std::uint8_t kNearBad = 1;   ///< D_bad <= t
+constexpr std::uint8_t kNearGood = 2;  ///< D_good <= t
+constexpr std::uint8_t kNeeded = 4;    ///< a base-route center or neighbor
+
 }  // namespace
 
 SpreadScheme::SpreadScheme(const core::Scheme& base, unsigned t)
@@ -81,6 +165,265 @@ void SpreadScheme::relink_parses(
     std::span<const graph::NodeIndex> touched) const {
   detail::relink_chunk_classes<SpreadParsed>(
       static_cast<detail::ChunkInternState&>(state), parsed, touched);
+}
+
+// The plan answers each of verify_ball's ball-wide checks for all centers at
+// once.  K is the most common chunk count, M_j the most common chunk class of
+// residue j among K-nodes ("native" nodes); the choice affects speed only.
+// Every field below is a multi-source BFS bounded at t:
+//   D_bad    to a malformed node or a node with k != K;
+//   D_good   to a native node;
+//   D_maj_j  to a native node of residue j and class M_j;
+//   D_anom_j to a native node of residue j and another class;
+//   D_edge   to an endpoint of a bad-residue edge between native nodes.
+// A native center whose ball holds only native nodes, one class per residue,
+// every residue, and no bad edge reassembles the same prefix from the M_j
+// chunks as every such center: it runs the base decoder on the 1-hop
+// neighborhood directly.  Each reject rule below is one of verify_ball's
+// rejections, so a route never changes a verdict.
+bool SpreadScheme::plan_sweep(const local::Configuration& cfg,
+                              std::span<const ParsedCert* const> parsed,
+                              SweepPlan& out) const {
+  const graph::Graph& g = cfg.graph();
+  const std::size_t n = g.n();
+  PLS_REQUIRE(parsed.size() == n);
+  const unsigned t = t_;
+  out.route.assign(n, SweepRoute::kReject);  // malformed centers stay here
+  out.base = nullptr;
+  const auto wire_of = [&parsed](graph::NodeIndex v) -> const SpreadParsed* {
+    return static_cast<const SpreadParsed*>(parsed[v]);
+  };
+
+  // K: the most common chunk count (ties: the smaller k).
+  std::array<std::size_t, std::size_t{1} << kChunkCountField> k_count{};
+  for (graph::NodeIndex v = 0; v < n; ++v)
+    if (const SpreadParsed* p = wire_of(v)) ++k_count[p->wire.k];
+  const auto k_max = std::max_element(k_count.begin(), k_count.end());
+  if (*k_max == 0) return true;  // nothing well-formed: every center rejects
+  const auto K = static_cast<std::uint64_t>(k_max - k_count.begin());
+
+  static thread_local PlanScratch scratch;
+  PlanScratch& s = scratch;
+  // Native nodes bucketed by residue (counting sort), and each residue's
+  // majority chunk class M_j (ties: the smaller class id).
+  s.native.assign(n, 0);
+  s.bucket_end.assign(K + 1, 0);
+  std::uint32_t max_class = 0;
+  bool has_bad = false;
+  for (graph::NodeIndex v = 0; v < n; ++v) {
+    const SpreadParsed* p = wire_of(v);
+    if (p == nullptr || p->wire.k != K) {
+      has_bad = true;
+      continue;
+    }
+    PLS_ASSERT(p->chunk_class != SpreadParsed::kUnlinked);
+    s.native[v] = 1;
+    ++s.bucket_end[p->wire.residue + 1];
+    max_class = std::max(max_class, p->chunk_class);
+  }
+  for (std::size_t j = 0; j < K; ++j) s.bucket_end[j + 1] += s.bucket_end[j];
+  s.by_residue.resize(s.bucket_end[K]);
+  for (graph::NodeIndex v = 0; v < n; ++v)
+    if (s.native[v] != 0)
+      s.by_residue[s.bucket_end[wire_of(v)->wire.residue]++] = v;
+  // bucket_end[j] now holds the end of bucket j; bucket j begins at
+  // bucket_end[j-1] (0 for j = 0).
+  const auto bucket = [&](std::size_t j) {
+    const std::uint32_t begin = j == 0 ? 0 : s.bucket_end[j - 1];
+    return std::span<const std::uint32_t>(s.by_residue)
+        .subspan(begin, s.bucket_end[j] - begin);
+  };
+  s.class_count.assign(std::size_t{max_class} + 1, 0);
+  s.majority.assign(K, SpreadParsed::kUnlinked);
+  for (std::size_t j = 0; j < K; ++j) {
+    std::uint32_t best_count = 0;
+    for (const std::uint32_t v : bucket(j)) {
+      const std::uint32_t c = wire_of(v)->chunk_class;
+      const std::uint32_t count = ++s.class_count[c];
+      if (count > best_count || (count == best_count && c < s.majority[j])) {
+        best_count = count;
+        s.majority[j] = c;
+      }
+    }
+    for (const std::uint32_t v : bucket(j))
+      s.class_count[wire_of(v)->chunk_class] = 0;
+  }
+
+  // Seeds `frontier` with the sources `mark` accepts at hop count 0.
+  const auto seed = [&s](graph::NodeIndex v, auto& mark) {
+    if (mark(v, 0)) s.frontier.push_back(v);
+  };
+
+  // D_bad and D_good, as bits of `near`.  D_good only matters at centers
+  // with k != K: a shortest path from one to its nearest native node runs
+  // through non-native nodes, so that BFS starts at the native nodes
+  // bordering the non-native region and never steps into the native one.
+  s.near.assign(n, 0);
+  if (has_bad) {
+    const auto mark_bad = [&s](graph::NodeIndex v, unsigned) {
+      if ((s.near[v] & kNearBad) != 0) return false;
+      s.near[v] |= kNearBad;
+      return true;
+    };
+    s.frontier.clear();
+    for (graph::NodeIndex v = 0; v < n; ++v)
+      if (s.native[v] == 0) seed(v, mark_bad);
+    flood(g, t, s.frontier, s.next, mark_bad);
+    const auto mark_good = [&s](graph::NodeIndex v, unsigned d) {
+      if ((s.near[v] & kNearGood) != 0 || (d > 0 && s.native[v] != 0))
+        return false;
+      s.near[v] |= kNearGood;
+      return true;
+    };
+    s.frontier.clear();
+    for (graph::NodeIndex v = 0; v < n; ++v)
+      if (s.native[v] != 0)
+        for (const graph::AdjEntry& a : g.adjacency(v))
+          if (s.native[a.to] == 0) {
+            seed(v, mark_good);
+            break;
+          }
+    flood(g, t, s.frontier, s.next, mark_good);
+  }
+
+  // D_maj_j and D_anom_j, one bit per residue.
+  s.gain.assign(n, 0);
+  s.gain_next.assign(n, 0);
+  for (std::vector<std::uint64_t>* near : {&s.near_maj, &s.near_anom}) {
+    const bool maj = near == &s.near_maj;
+    near->assign(n, 0);
+    s.frontier.clear();
+    for (std::size_t j = 0; j < K; ++j)
+      for (const std::uint32_t v : bucket(j))
+        if ((wire_of(v)->chunk_class == s.majority[j]) == maj) {
+          (*near)[v] = s.gain[v] = std::uint64_t{1} << j;
+          s.frontier.push_back(v);
+        }
+    flood_bits(g, t, *near, s.gain, s.gain_next, s.frontier, s.next);
+  }
+
+  // Bad-residue edges between native nodes (residues of adjacent nodes must
+  // be cyclically consecutive), and D_edge from their endpoints.  An edge
+  // lies in a center's ball iff both endpoints lie within t, so a center
+  // within t-1 of an endpoint sees the edge; one at exactly t needs the
+  // exact test below.
+  const auto bad_edge = [&](graph::NodeIndex u, graph::NodeIndex v) {
+    if (s.native[u] == 0 || s.native[v] == 0) return false;
+    const std::uint64_t diff =
+        (wire_of(u)->wire.residue + K - wire_of(v)->wire.residue) % K;
+    return diff != 0 && diff != 1 && diff != K - 1;
+  };
+  s.edge_dist.assign(n, kFar);
+  const auto mark_edge = [&s](graph::NodeIndex v, unsigned d) {
+    if (s.edge_dist[v] != kFar) return false;
+    s.edge_dist[v] = static_cast<std::uint8_t>(d);
+    return true;
+  };
+  s.frontier.clear();
+  s.bad_edges.clear();
+  for (const graph::Edge& e : g.edges())
+    if (bad_edge(e.u, e.v)) {
+      s.bad_edges.emplace_back(e.u, e.v);
+      seed(e.u, mark_edge);
+      seed(e.v, mark_edge);
+    }
+  flood(g, t, s.frontier, s.next, mark_edge);
+
+  // Route every well-formed center.
+  const std::uint64_t all_residues = (std::uint64_t{1} << K) - 1;
+  s.pending.clear();
+  for (graph::NodeIndex c = 0; c < n; ++c) {
+    if (wire_of(c) == nullptr) continue;  // malformed center: reject
+    SweepRoute& route = out.route[c];
+    if (s.native[c] == 0) {
+      // k != K: a native node in the ball is a k mismatch.
+      route = (s.near[c] & kNearGood) != 0 ? SweepRoute::kReject
+                                           : SweepRoute::kBall;
+      continue;
+    }
+    const std::uint64_t maj = s.near_maj[c];
+    const std::uint64_t anom = s.near_anom[c];
+    if ((s.near[c] & kNearBad) != 0 ||           // malformed / k mismatch
+        (maj & anom) != 0 ||                     // two classes in a residue
+        (maj | anom) != all_residues) continue;  // a residue not covered
+    if (s.edge_dist[c] < t) continue;  // a bad edge in the ball
+    // Only anomalous classes of a residue in the ball: verify_ball decides
+    // whether they agree.
+    route = (anom & ~maj) != 0 ? SweepRoute::kBall : SweepRoute::kBase;
+    if (s.edge_dist[c] == t) s.pending.push_back(c);
+  }
+
+  // Exact bad-edge test for centers at distance exactly t from an endpoint:
+  // a center sees edge (u, v) iff it lies in B(u,t) and B(v,t).  Up to 64
+  // edges at a time, edge i seeds bit i at u in one field and at v in
+  // another, so a pending center sees one of them iff the two fields share
+  // a bit there.
+  const std::size_t bad = s.pending.empty() ? 0 : s.bad_edges.size();
+  for (std::size_t first = 0; first < bad; first += 64) {
+    const std::size_t count = std::min<std::size_t>(64, bad - first);
+    for (std::vector<std::uint64_t>* near : {&s.near_u, &s.near_v}) {
+      near->assign(n, 0);
+      s.frontier.clear();
+      for (std::size_t i = 0; i < count; ++i) {
+        const auto [u, v] = s.bad_edges[first + i];
+        const graph::NodeIndex end = near == &s.near_u ? u : v;
+        if (s.gain[end] == 0) s.frontier.push_back(end);
+        (*near)[end] = s.gain[end] |= std::uint64_t{1} << i;
+      }
+      flood_bits(g, t, *near, s.gain, s.gain_next, s.frontier, s.next);
+    }
+    for (const graph::NodeIndex c : s.pending)
+      if ((s.near_u[c] & s.near_v[c]) != 0)
+        out.route[c] = SweepRoute::kReject;
+  }
+
+  // The base route's certificates: the majority prefix, reassembled once,
+  // before the suffix of every base-route center and its neighbors.  A
+  // prefix that does not reassemble rejects at every base-route center,
+  // exactly as in verify_ball.
+  bool any_base = false;
+  for (graph::NodeIndex c = 0; c < n; ++c) {
+    if (out.route[c] != SweepRoute::kBase) continue;
+    any_base = true;
+    s.near[c] |= kNeeded;
+    for (const graph::AdjEntry& a : g.adjacency(c)) s.near[a.to] |= kNeeded;
+  }
+  if (!any_base) return true;
+  s.chunk_of.assign(K, nullptr);
+  for (std::size_t j = 0; j < K; ++j)
+    for (const std::uint32_t v : bucket(j))
+      if (wire_of(v)->chunk_class == s.majority[j]) {
+        s.chunk_of[j] = &wire_of(v)->wire.chunk;
+        break;
+      }
+  const auto prefix = detail::reassemble_chunks(s.chunk_of);
+  if (!prefix) {
+    std::replace(out.route.begin(), out.route.end(), SweepRoute::kBase,
+                 SweepRoute::kReject);
+    return true;
+  }
+  // Each certificate starts on a byte of one shared buffer.
+  util::BitWriter w;
+  for (graph::NodeIndex v = 0; v < n; ++v) {
+    if ((s.near[v] & kNeeded) == 0) continue;
+    const util::BitString& suffix = wire_of(v)->wire.suffix;
+    w.write_bits(prefix->data(), prefix->bit_size());
+    w.write_bits(suffix.data(), suffix.bit_size());
+    w.write_uint(0, static_cast<unsigned>(-w.bit_size() % 8));
+  }
+  out.base_bytes = w.take_bytes();
+  out.base = &base_;
+  out.base_certs.certs.assign(n, local::Certificate{});
+  std::size_t at = 0;
+  for (graph::NodeIndex v = 0; v < n; ++v) {
+    if ((s.near[v] & kNeeded) == 0) continue;
+    const std::size_t bits =
+        prefix->bit_size() + wire_of(v)->wire.suffix.bit_size();
+    out.base_certs.certs[v] =
+        util::BitString::aliasing(out.base_bytes.data() + at, bits);
+    at += (bits + 7) / 8;
+  }
+  return true;
 }
 
 std::vector<SchemeAttack> SpreadScheme::adversarial_labelings(

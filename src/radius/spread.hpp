@@ -67,6 +67,13 @@ class SpreadScheme final : public BallScheme {
   void link_parses(
       std::span<const std::unique_ptr<ParsedCert>> parsed) const override;
 
+  /// Sweep plan (stage 2): routes each center from distance fields — a
+  /// bounded multi-source BFS per ball-wide check — instead of its ball:
+  /// reject, the base decoder on the majority prefix, or verify_ball.
+  bool plan_sweep(const local::Configuration& cfg,
+                  std::span<const ParsedCert* const> parsed,
+                  SweepPlan& out) const override;
+
   /// Incremental link (the delta path): the interning table persists in the
   /// verifier's LinkState, so relinking a mutated node hands out ids stable
   /// against every carried-forward parse.

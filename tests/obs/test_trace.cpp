@@ -119,10 +119,11 @@ TEST(TraceRecorder, ChromeTraceExportIsWellFormedJson) {
 }
 
 TEST(TraceRecorder, BatchTraceShowsParseSweepOverlapWindow) {
-  // Two labelings through the pipelined batch: while labeling 0's sweep is
-  // posted (the "sweep.window" span on the calling thread), the calling
-  // thread parses labeling 1 ("parse.link" arg 1).  The trace must show that
-  // overlap structurally: parse(1) nested inside window(0), same tid.
+  // Two labelings through the pipelined batch: within labeling 0's sweep
+  // window (the "sweep.window" span on the calling thread), the calling
+  // thread parses labeling 1 ("parse.link" arg 1) — overlapped with an
+  // unplanned sweep, after a planned one.  The trace must show that
+  // structurally: parse(1) nested inside window(0), same tid.
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
   const radius::SpreadScheme scheme(base, 2);

@@ -293,12 +293,19 @@ TEST(GeometryAtlas, SharedAcrossVerifiers) {
   BatchOptions options;
   options.threads = 1;
   options.atlas = atlas;
+  // A planned full sweep decides most centers without their balls; the
+  // delta path always reads geometry (dirty index + dirty re-sweep).
+  core::Labeling mutated = honest;
+  mutated.certs[3] = honest.certs[17];
   BatchVerifier first(spread, cfg, 4, options);
-  const core::Verdict v1 = first.run_one(honest);
+  first.run_one(honest);
+  const core::Verdict v1 = first.run_delta(honest, mutated);
   const std::uint64_t misses_after_first = atlas->stats().misses;
+  EXPECT_GT(misses_after_first, 0u);
 
   BatchVerifier second(spread, cfg, 4, options);
-  const core::Verdict v2 = second.run_one(honest);
+  second.run_one(honest);
+  const core::Verdict v2 = second.run_delta(honest, mutated);
   EXPECT_EQ(atlas->stats().misses, misses_after_first);
   EXPECT_GT(atlas->stats().hits, 0u);
   EXPECT_EQ(v1.accept(), v2.accept());

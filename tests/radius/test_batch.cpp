@@ -145,6 +145,10 @@ TEST(BatchVerifier, RunOneInterleavedWithBatches) {
     for (std::size_t i = 0; i < labs.size(); ++i)
       EXPECT_EQ(got[i].accept(),
                 run_verifier_t_baseline(spread, cfg, labs[i], 2).accept());
+    // The delta path reads geometry at every dirty center (a planned full
+    // sweep routes most centers around their balls).
+    EXPECT_EQ(batch.run_delta(honest, tampered).accept(),
+              run_verifier_t_baseline(spread, cfg, tampered, 2).accept());
   }
   // Geometry was shared across all of it: exactly one build per block.
   EXPECT_GT(batch.atlas().stats().hits, 0u);
@@ -198,6 +202,16 @@ TEST(BatchVerifier, WarmAtlasEqualsRebuildLoop) {
   const std::vector<Verdict> warm_verdicts = warm.run(labs);
   for (std::size_t i = 0; i < labs.size(); ++i)
     EXPECT_EQ(warm_verdicts[i].accept(), cold.run_one(labs[i]).accept());
+  // The same stream as deltas: the dirty re-sweep reads geometry at every
+  // dirty center, which a planned full sweep mostly does not.
+  warm.run_one(labs[0]);
+  cold.run_one(labs[0]);
+  for (std::size_t i = 1; i < labs.size(); ++i) {
+    const Verdict warm_delta = warm.run_delta(labs[i - 1], labs[i]);
+    EXPECT_EQ(warm_delta.accept(), warm_verdicts[i].accept());
+    EXPECT_EQ(warm_delta.accept(),
+              cold.run_delta(labs[i - 1], labs[i]).accept());
+  }
 
   EXPECT_GT(warm.atlas().stats().hits, 0u);
   EXPECT_EQ(cold.atlas().stats().hits, 0u);

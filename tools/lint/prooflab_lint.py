@@ -420,9 +420,11 @@ def run_r2(fl):
 # ---------------------------------------------------------------------------
 
 # A function is verdict-producing (R5; decoder set) when its unqualified name
-# starts with verify/decode or is parse_cert; R3 additionally covers the
-# class-id interning/link functions, whose outputs feed verdict comparisons.
-DECODER_NAME_RE = re.compile(r"(?:^|::)(verify\w*|decode\w*|parse_cert)$")
+# starts with verify/decode or is parse_cert or plan_sweep (a sweep plan's
+# reject route is a verdict); R3 additionally covers the class-id
+# interning/link functions, whose outputs feed verdict comparisons.
+DECODER_NAME_RE = re.compile(
+    r"(?:^|::)(verify\w*|decode\w*|parse_cert|plan_sweep)$")
 LINKER_NAME_RE = re.compile(r"(?:^|::)(intern\w*|(?:re)?link\w*)$")
 UNORDERED_DECL_RE = re.compile(
     r"\bunordered_(?:map|set|multimap|multiset)\s*<[^;{}]*>[\s&]*(\w+)\s*[;({=,)]"
